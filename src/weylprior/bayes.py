@@ -75,6 +75,7 @@ def grid_posterior(model: ModelSpec, prior: PriorField, data: Dataset,
     if chart is None:
         chart = prior.chart
     ch = model.chart(chart)
+    model.sample_space.validate(data.observations, data.source)
     obs = _canonical_order(data.observations)
     pts = prior.points
     loglik = np.empty(len(pts))

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bayes, geometry, priors
-from .errors import WeylPriorError
+from .errors import InvalidConfigError, WeylPriorError
 from .models import get_model
 from .numerics import DiffSpec, Path, QuadratureSpec
 from .tensors import amari_chentsov, fisher_metric
@@ -65,9 +65,12 @@ def _parse_grid(text, chart_name):
 
 
 def _quad(args):
-    if getattr(args, "quad_nodes", None):
-        return QuadratureSpec(args.quad_nodes)
-    return None
+    if args.quad_nodes is None:
+        return None
+    if args.quad_nodes < 2:
+        raise InvalidConfigError(
+            f"--quad-nodes {args.quad_nodes}: need at least 2 quadrature nodes")
+    return QuadratureSpec(args.quad_nodes)
 
 
 def _diff(args):

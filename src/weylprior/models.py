@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, InvalidConfigError, UnknownModelError
+from .errors import DataError, DomainError, InvalidConfigError, UnknownModelError
 
 # margin used for interiority checks of chart domains; FD stencils need room
 DOMAIN_MARGIN = 1e-10
@@ -68,12 +68,37 @@ class Chart:
 
 @dataclass(frozen=True)
 class SampleSpace:
-    """Continuous R^d or a discrete support with an accuracy-bounded truncation."""
+    """Continuous R^d or a discrete support with an accuracy-bounded truncation.
+
+    Discrete spaces are the integers 0..max_value (unbounded when max_value
+    is None).
+    """
 
     kind: str                       # "continuous" | "discrete"
     dim: int
     support: Optional[Callable] = None   # theta_ref -> sample points, discrete only
     tail_bound: float = 1e-12
+    max_value: Optional[float] = None    # discrete only
+
+    def validate(self, x, source="observations"):
+        """Raise DataError naming the first row of ``x`` outside the space."""
+        x = np.asarray(x, dtype=float)
+        bad = ~np.isfinite(x)
+        if self.kind == "discrete":
+            bad |= (x < 0) | (x != np.floor(x))
+            if self.max_value is not None:
+                bad |= x > self.max_value
+        rows = bad.reshape(len(x), -1).any(axis=1)
+        if rows.any():
+            k = int(np.argmax(rows))
+            if self.kind == "discrete":
+                space = ("non-negative integers" if self.max_value is None
+                         else f"integers 0..{self.max_value:g}")
+            else:
+                space = "finite values"
+            raise DataError(f"{source}: row {k + 1}: observation "
+                            f"{x[k].tolist()} is outside the sample space "
+                            f"({space})")
 
 
 @dataclass
@@ -320,7 +345,8 @@ def _bernoulli():
     return ModelSpec(
         id="bernoulli", dim=1,
         sample_space=SampleSpace("discrete", 1,
-                                 support=lambda t: np.array([0.0, 1.0])),
+                                 support=lambda t: np.array([0.0, 1.0]),
+                                 max_value=1.0),
         charts={c.name: c for c in (ref, natural)}, reference="p",
         log_density=logp, analytic_score=sc,
         log_partition={"natural": lambda e: np.logaddexp(0.0, e[0])},

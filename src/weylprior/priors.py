@@ -6,32 +6,21 @@ through Omega(anchor) = 0.
 """
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ClosednessError, GridError
-from .geometry import closedness_residual, potential_omega, CLOSEDNESS_TOL
+from .geometry import (closedness_residual, one_form_field, potential_omega,
+                       CLOSEDNESS_TOL)
 from .models import ModelSpec
+from .numerics import Path, line_integral
 from .tensors import fisher_metric, sqrt_det_metric
 
-
-def worker_count():
-    env = os.environ.get("WEYLPRIOR_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _map_points(fn, points):
-    n = worker_count()
-    if n > 1 and len(points) >= 64:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return np.array(list(pool.map(fn, points)))
-    return np.array([fn(p) for p in points])
+# Gauss-Legendre steps on each grid edge of the Omega sweep; 2 steps lose
+# about three digits on gaussian_mv:2, 4 keep Omega at roundoff
+EDGE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -129,37 +118,92 @@ def _check_closedness(model, points, chart, quad):
             "the alpha-parallel/Weyl prior does not exist for this family")
 
 
-def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
-                 chart=None, quad=None):
-    """Unnormalized prior density values at arbitrary chart points."""
+def _chart_points(model, points, chart):
+    """``points`` as an (N, m) array, each point interior to the chart."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    ch = model.chart(chart)
+    if points.ndim != 2 or points.shape[1] != ch.dim:
+        raise GridError(
+            f"got {points.shape[-1]} coordinate(s) per point (one per grid "
+            f"axis) but chart {ch.name!r} of model {model.id!r} has "
+            f"dimension {ch.dim}")
+    for t in points:
+        model.require_interior(t, ch)
+    return points
 
-    def jeffreys(t):
-        return sqrt_det_metric(fisher_metric(model, t, chart, quad))
 
+def _omega_exponent(model, kind, alpha, anchor):
+    """The factor k in exp(k Omega) sqrt(det g); None for Jeffreys."""
     if kind == "jeffreys":
-        return _map_points(jeffreys, points)
+        return None
     if kind not in ("alpha", "weyl"):
         raise GridError(f"unknown prior kind {kind!r}")
     if anchor is None:
         raise GridError(f"{kind} prior needs an anchor point")
+    if np.shape(anchor) != (model.dim,):
+        raise GridError(f"anchor {np.ravel(anchor).tolist()} has "
+                        f"{np.size(anchor)} coordinate(s) but model "
+                        f"{model.id!r} has dimension {model.dim}")
     if kind == "alpha" and alpha is None:
         raise GridError("alpha prior needs a value for alpha")
-    exponent = -0.5 * alpha if kind == "alpha" else 0.5 * model.dim
-    _check_closedness(model, points, chart, quad)
+    return -0.5 * alpha if kind == "alpha" else 0.5 * model.dim
 
-    def value(t):
-        om = potential_omega(model, t, anchor, chart, quad,
-                             check_closedness=False).omega
-        return np.exp(exponent * om) * jeffreys(t)
 
-    return _map_points(value, points)
+def _grid_omega(model, grid: GridSpec, anchor, quad):
+    """Omega at every grid point (C order) by one sweep over the grid.
+
+    One potential_omega path runs from the anchor to the first grid point.
+    Every other point adds, to the value of its predecessor along its last
+    axis with a non-zero index, the integral of the Weyl 1-form over the
+    single axis edge between them.  The chart domains of all families are
+    convex (half-lines, intervals, the SPD cone), so an edge between two
+    interior grid points stays interior.
+    """
+    pts = _chart_points(model, grid.points(), grid.chart)
+    _check_closedness(model, pts, grid.chart, quad)
+    phi = one_form_field(model, grid.chart, quad)
+    shape = grid.shape
+    omega = np.empty(len(pts))
+    omega[0] = potential_omega(model, pts[0], anchor, grid.chart, quad,
+                               check_closedness=False).omega
+    for n in range(1, len(pts)):
+        idx = np.unravel_index(n, shape)
+        k = max(i for i, j in enumerate(idx) if j)
+        prev = n - int(np.prod(shape[k + 1:]))
+        omega[n] = omega[prev] + line_integral(
+            phi, Path([pts[prev], pts[n]], steps=EDGE_STEPS), rule="gauss")
+    return omega
+
+
+def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
+                 chart=None, quad=None, omega=None):
+    """Unnormalized prior density values at arbitrary chart points.
+
+    Omega comes from one potential_omega path per point, unless ``omega``
+    already holds its values at the points (the field builders pass their
+    grid sweep).
+    """
+    points = _chart_points(model, points, chart)
+    exponent = _omega_exponent(model, kind, alpha, anchor)
+    if exponent is not None and omega is None:
+        _check_closedness(model, points, chart, quad)
+        omega = np.array([potential_omega(model, t, anchor, chart, quad,
+                                          check_closedness=False).omega
+                          for t in points])
+    jeffreys = np.array([sqrt_det_metric(fisher_metric(model, t, chart, quad))
+                         for t in points])
+    if exponent is None:
+        return jeffreys
+    return np.exp(exponent * omega) * jeffreys
 
 
 def _build(model, grid: GridSpec, kind, alpha=None, anchor=None, quad=None,
-           normalize=False):
+           normalize=False, omega=None):
+    if omega is None and _omega_exponent(model, kind, alpha, anchor) is not None:
+        omega = _grid_omega(model, grid, anchor, quad)
     pts = grid.points()
-    values = prior_values(model, pts, kind, alpha, anchor, grid.chart, quad)
+    values = prior_values(model, pts, kind, alpha, anchor, grid.chart, quad,
+                          omega)
     chart = grid.chart or model.reference
     anchor_arr = None if anchor is None else np.asarray(anchor, dtype=float)
     field = PriorField(pts, values, kind, chart, grid=grid, alpha=alpha,
@@ -200,8 +244,10 @@ def theorem_ratio_check(model, grid, anchor, quad=None, alpha=None):
     """
     if alpha is None:
         alpha = -float(model.dim)
-    wf = weyl_prior_field(model, grid, anchor, quad)
-    af = alpha_prior_field(model, grid, alpha, anchor, quad)
+    omega = _grid_omega(model, grid, anchor, quad)
+    wf = _build(model, grid, "weyl", anchor=anchor, quad=quad, omega=omega)
+    af = _build(model, grid, "alpha", alpha=alpha, anchor=anchor, quad=quad,
+                omega=omega)
     ratio = wf.values / af.values
     mean = float(np.mean(ratio))
     dev = float(np.max(np.abs(ratio - mean)) / abs(mean))

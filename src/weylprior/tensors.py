@@ -91,7 +91,7 @@ def metric_and_cubic(model, theta, chart=None, quad=None):
 
 
 def inverse_metric(metric: MetricTensor):
-    """g^{-1} via Cholesky; raises NotSPDError when singular."""
+    """g^{-1} via np.linalg.inv, symmetrized; raises NotSPDError when singular."""
     g = metric.g
     try:
         inv = np.linalg.inv(g)

@@ -169,14 +169,15 @@ def test_07_multivariate_exponent(mv2):
     design = np.column_stack([logdet, np.ones_like(logdet)])
     coef, *_ = np.linalg.lstsq(design, logw, rcond=None)
     resid = float(np.max(np.abs(logw - design @ coef)))
-    fitted_p = float(coef[0])
-    ok = resid < 1e-4
-    # the fitted exponent is reported, not gated; the reference value from
-    # the closed-form claim (n-1)(3n+4)/8 at n=2 is 5/4
-    print(f"[acceptance 07] fitted exponent p = {fitted_p:.6f} "
-          f"(reference claim 5/4 = 1.25); gate is constancy only", flush=True)
+    # closed form: the Weyl prior of gaussian_mv:n is det(Sigma)^((n+2)(m-2)/4)
+    # with m = n + n(n+1)/2, so 3 at n = 2
+    exp_err = abs(float(coef[0]) - 3.0)
+    print(f"[acceptance 07] fitted exponent p = {float(coef[0]):.6f} "
+          f"(closed form (n+2)(m-2)/4 = 3)", flush=True)
     report(7, "log Weyl prior is affine in log det Sigma on diag 15x15 grid",
-           resid, 1e-4, ok)
+           resid, 1e-4, resid < 1e-4)
+    report(7, "fitted det Sigma exponent equals 3", exp_err, 1e-6,
+           exp_err < 1e-6)
 
 
 def test_08_reparam_covariance(g1):

@@ -56,6 +56,18 @@ class TestDataset:
             load_observations(p, mv2)
 
 
+    @pytest.mark.parametrize("model, grid, obs", [
+        ("bern", GridSpec((Axis("p", 0.1, 0.9, 5),)), [0.0, 1.0, 0.5]),
+        ("pois", GridSpec((Axis("lam", 0.5, 5.0, 5),)), [2.0, -1.0]),
+    ])
+    def test_rejects_values_outside_sample_space(self, request, model, grid,
+                                                 obs):
+        model = request.getfixturevalue(model)
+        prior = jeffreys_field(model, grid)
+        with pytest.raises(DataError, match=f"row {len(obs)}"):
+            grid_posterior(model, prior, Dataset(np.array(obs)))
+
+
 class TestPosterior:
     def test_masses_sum_to_one(self, g1, obs_1000):
         prior = jeffreys_field(g1, g1_grid())

@@ -40,6 +40,12 @@ class TestTensor:
         assert code == 2
         assert "error" in json.loads(err)
 
+    def test_too_few_quad_nodes_exit_2(self, capsys):
+        code, _, err = run(capsys, "tensor", "--model", "gaussian1d",
+                           "--theta", "0,1", "--quad-nodes", "1")
+        assert code == 2
+        assert "--quad-nodes 1" in json.loads(err)["error"]
+
     def test_unknown_model_exit_2(self, capsys):
         code, _, err = run(capsys, "tensor", "--model", "weibull",
                            "--theta", "1,1")
@@ -103,6 +109,15 @@ class TestPrior:
         assert "grid axis" in json.loads(err)["error"]
 
 
+    def test_axis_count_differs_from_chart_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "prior", "--model", "gaussian1d",
+                           "--kind", "jeffreys", "--grid", "mu=-2:2:3",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        message = json.loads(err)["error"]
+        assert "1 coordinate(s)" in message and "dimension 2" in message
+
+
 class TestPosterior:
     GRID = "mu=-2:2:9,s2=0.25:4:9"
 
@@ -147,6 +162,24 @@ class TestPosterior:
                          "--grid", self.GRID, "--data", str(data),
                          "--out", str(out_path))
         assert code == 0
+
+
+    @pytest.mark.parametrize("model, grid, rows, bad", [
+        ("bernoulli", "p=0.1:0.9:5", ["0", "1", "2"], "row 3: observation 2.0"),
+        ("poisson", "lam=0.5:5:5", ["3", "1.5", "0"], "row 2: observation 1.5"),
+        ("poisson", "lam=0.5:5:5", ["3", "-2"], "row 2: observation -2.0"),
+    ])
+    def test_observation_outside_sample_space_exit_2(self, capsys, tmp_path,
+                                                     model, grid, rows, bad):
+        data = tmp_path / "obs.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out_path = tmp_path / "post.csv"
+        code, _, err = run(capsys, "posterior", "--model", model,
+                           "--grid", grid, "--data", str(data),
+                           "--out", str(out_path))
+        assert code == 2
+        assert bad in json.loads(err)["error"]
+        assert not out_path.exists()
 
 
 class TestVerifyAll:

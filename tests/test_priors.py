@@ -13,7 +13,9 @@ from weylprior import (
     theorem_ratio_check,
     weyl_prior_field,
 )
+from weylprior import geometry
 from weylprior.errors import GridError
+from weylprior.numerics import QuadratureSpec
 from weylprior.priors import read_csv, reparam_transform, write_csv
 
 from conftest import vech_theta
@@ -85,11 +87,72 @@ class TestFields:
         with pytest.raises(GridError):
             prior_values(g1, [[0.0, 1.0]], "haldane")
 
+    def test_wrong_dimension(self, g1):
+        with pytest.raises(GridError, match="1 coordinate.*dimension 2"):
+            jeffreys_field(g1, GridSpec((Axis("mu", -1.0, 1.0, 3),)))
+        with pytest.raises(GridError, match="anchor"):
+            prior_values(g1, [[0.0, 2.0]], "weyl", anchor=[1.0])
+
     def test_normalize(self, g1):
         field = normalize_field(jeffreys_field(g1, small_grid()))
         mass = field.values @ field.grid.cell_volumes()
         assert mass == pytest.approx(1.0, abs=1e-12)
         assert field.normalization == "normalized-over-grid"
+
+
+def count_one_forms(monkeypatch):
+    calls = []
+    inner = geometry.weyl_one_form
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "weyl_one_form", counted)
+    return calls
+
+
+class TestGridSweep:
+    """Grid fields sweep Omega edge by edge; per-point paths are the reference."""
+
+    CASES = {
+        "gaussian1d-anchor-off-grid": (
+            "g1", GridSpec((Axis("mu", -1.0, 1.0, 5),
+                            Axis("sigma2", 0.5, 2.0, 5, spacing="log"))),
+            [0.3, 1.3], None),
+        "gaussian_mv2-s01-varying": (
+            "mv2", GridSpec((Axis("mu1", 0.0, 0.0, 1), Axis("mu2", 0.1, 0.1, 1),
+                             Axis("s11", 0.8, 1.6, 3), Axis("s12", -0.2, 0.3, 3),
+                             Axis("s22", 0.9, 1.4, 2))),
+            vech_theta([0, 0.1], [[1.0, 0.1], [0.1, 1.1]]), QuadratureSpec(8)),
+        "bernoulli": ("bern", GridSpec((Axis("p", 0.1, 0.9, 9),)), [0.45], None),
+        "poisson": ("pois", GridSpec((Axis("lam", 0.5, 8.0, 9, spacing="log"),)),
+                    [2.0], None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_point_paths(self, request, case):
+        name, grid, anchor, quad = self.CASES[case]
+        model = request.getfixturevalue(name)
+        field = weyl_prior_field(model, grid, anchor=anchor, quad=quad)
+        per_point = prior_values(model, grid.points(), "weyl", anchor=anchor,
+                                 quad=quad)
+        np.testing.assert_allclose(field.values, per_point, rtol=1e-12, atol=0)
+
+    def test_one_form_calls_per_point(self, g1, monkeypatch):
+        calls = count_one_forms(monkeypatch)
+        grid = GridSpec((Axis("mu", -2.0, 2.0, 21),
+                         Axis("sigma2", 0.25, 16.0, 21, spacing="log")))
+        weyl_prior_field(g1, grid, anchor=[0.0, 1.0])
+        assert len(calls) <= 25 * 441
+
+    def test_theorem_ratio_sweeps_once(self, g1, monkeypatch):
+        calls = count_one_forms(monkeypatch)
+        weyl_prior_field(g1, small_grid(), anchor=[0.0, 1.0])
+        one_field = len(calls)
+        calls.clear()
+        theorem_ratio_check(g1, small_grid(), anchor=[0.0, 1.0])
+        assert len(calls) == one_field
 
 
 class TestTheoremRatio:
