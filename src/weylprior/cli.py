@@ -74,9 +74,12 @@ def _quad(args):
 
 
 def _diff(args):
-    if getattr(args, "fd_step", None):
-        return DiffSpec(rel_step=args.fd_step)
-    return None
+    if args.fd_step is None:
+        return None
+    if not (np.isfinite(args.fd_step) and args.fd_step > 0):
+        raise InvalidConfigError(
+            f"--fd-step {args.fd_step}: need a positive, finite relative step")
+    return DiffSpec(rel_step=args.fd_step)
 
 
 def _emit(payload, out=None):
@@ -304,7 +307,6 @@ def build_parser():
                        help="gaussian1d | gaussian_mv:n | bernoulli | poisson")
         p.add_argument("--chart", default=None)
         p.add_argument("--quad-nodes", type=int, default=None)
-        p.add_argument("--fd-step", type=float, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("tensor", help="metric and cubic tensor at a point, as JSON")
@@ -320,6 +322,7 @@ def build_parser():
     p.add_argument("--theta", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--path-steps", type=int, default=256)
+    p.add_argument("--fd-step", type=float, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("prior", help="prior density field over a grid, as CSV")

@@ -71,6 +71,20 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("step", ["0", "-5", "nan"])
+    def test_bad_fd_step_exit_2(self, capsys, step):
+        code, _, err = run(capsys, "check", "--model", "gaussian1d",
+                           "--what", "closedness", "--theta", "0.5,1.5",
+                           "--fd-step", step)
+        assert code == 2
+        assert f"--fd-step {float(step)}" in json.loads(err)["error"]
+
+    def test_fd_step_is_check_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tensor", "--model", "gaussian1d", "--theta", "0,1",
+                  "--fd-step", "1e-3"])
+        assert exc.value.code == 2
+
 
 class TestPrior:
     def test_weyl_csv(self, capsys, tmp_path):

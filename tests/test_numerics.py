@@ -1,5 +1,7 @@
 """Quadrature, finite differences, and path integration."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -28,6 +30,28 @@ class TestQuadrature:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert w @ (z[:, 0] * z[:, 1]) == pytest.approx(0.0, abs=1e-12)
         assert w @ (z[:, 0] ** 2 * z[:, 1] ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k,dim", [(64, 1), (7, 1), (32, 2), (5, 2), (8, 3)])
+    def test_gh_grid_matches_product_reference(self, k, dim):
+        # the grid as itertools.product builds it, row by row
+        t, w1 = np.polynomial.hermite.hermgauss(k)
+        z1 = np.sqrt(2.0) * t
+        w1 = w1 / np.sqrt(np.pi)
+        want_z = np.array(list(product(z1, repeat=dim)))
+        want_w = np.prod(np.array(list(product(w1, repeat=dim))), axis=1)
+        z, w = gauss_hermite_nodes(k, dim)
+        assert np.array_equal(z, want_z)
+        assert np.array_equal(w, want_w)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gh_grid_is_read_only(self, dim):
+        z, w = gauss_hermite_nodes(6, dim)
+        with pytest.raises(ValueError):
+            z[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        z2, w2 = gauss_hermite_nodes(6, dim)
+        assert z2 is z and w2 is w
 
     def test_gaussian_moments(self, g1):
         mu, s2 = 1.3, 2.5

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from weylprior import amari_chentsov, fisher_metric
+from weylprior import (QuadratureSpec, amari_chentsov, fisher_metric, kernels,
+                       weyl_one_form)
+from weylprior.errors import NotSPDError
 from weylprior.tensors import inverse_metric, metric_and_cubic, sqrt_det_metric
 
 from conftest import vech_theta
@@ -115,3 +117,18 @@ def test_metric_and_cubic_matches_separate(g1):
     met, cub = metric_and_cubic(g1, theta)
     np.testing.assert_allclose(met.g, fisher_metric(g1, theta).g, atol=1e-14)
     np.testing.assert_allclose(cub.C, amari_chentsov(g1, theta).C, atol=1e-14)
+
+
+class TestChecks:
+    def test_rank_deficient_metric_names_theta(self, mv2):
+        # 2 nodes per sample dimension give 4 score vectors for 5 parameters
+        theta = [0.0, 0.0, 1.0, 0.2, 1.0]
+        with pytest.raises(NotSPDError) as exc:
+            weyl_one_form(mv2, theta, quad=QuadratureSpec(2))
+        assert "theta=[0.0, 0.0, 1.0, 0.2, 1.0]" in str(exc.value)
+
+    def test_non_finite_cubic_raises(self, g1, monkeypatch):
+        monkeypatch.setattr(kernels, "triple_contract",
+                            lambda w, s: np.full((2, 2, 2), np.nan))
+        with pytest.raises(NotSPDError, match="non-finite cubic tensor"):
+            metric_and_cubic(g1, [0.0, 1.0])
