@@ -4,6 +4,7 @@ All arithmetic happens in log space with a log-sum-exp normalizer, so
 thousands of observations cannot underflow the cell masses.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,28 +61,26 @@ def load_observations(path, model: ModelSpec) -> Dataset:
     return Dataset(obs[:, 0] if d == 1 else obs, source=str(path))
 
 
-def _canonical_order(obs):
-    """Sort observations so the accumulated likelihood is permutation-proof."""
-    if obs.ndim == 1:
-        return np.sort(obs)
-    return obs[np.lexsort(obs.T[::-1])]
-
-
 def grid_posterior(model: ModelSpec, prior: PriorField, data: Dataset,
                    chart=None) -> PosteriorGrid:
-    """log p(theta | data) over the prior's grid, log-sum-exp normalized."""
+    """log p(theta | data) over the prior's grid, log-sum-exp normalized.
+
+    The likelihood is evaluated once per distinct observation and weighted by
+    its multiplicity; ``math.fsum`` rounds the sum correctly, so the result
+    does not depend on the order of the observations.
+    """
     if prior.grid is None:
         raise GridError("posterior computation needs a grid-backed prior")
     if chart is None:
         chart = prior.chart
     ch = model.chart(chart)
     model.sample_space.validate(data.observations, data.source)
-    obs = _canonical_order(data.observations)
+    obs, counts = np.unique(data.observations, axis=0, return_counts=True)
     pts = prior.points
     loglik = np.empty(len(pts))
     for k, t in enumerate(pts):
         model.require_interior(t, chart)
-        loglik[k] = float(np.sum(model.log_density(obs, ch.to_reference(t))))
+        loglik[k] = math.fsum((counts * model.log_density(obs, ch.to_reference(t))).tolist())
     logpost = loglik + np.log(prior.values)
     if not np.any(np.isfinite(logpost)):
         raise DataError("data has vanishing likelihood at every grid point")

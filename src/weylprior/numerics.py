@@ -112,6 +112,14 @@ class DiffSpec:
     abs_floor: float = 1e-6
     richardson: bool = True
 
+    def __post_init__(self):
+        # a NaN step never falls below the floor, so the stencil-halving loop
+        # in ``partial`` would never end
+        for name in ("rel_step", "abs_floor"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+
     def step(self, coord_value):
         return max(self.rel_step * (abs(coord_value) + 1.0), self.abs_floor)
 

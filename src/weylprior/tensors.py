@@ -2,9 +2,9 @@
 
 Both are quadrature expectations of products of score components; the
 kernels return exactly symmetric arrays, which are checked here (metric
-positive-definite, cubic tensor finite).  Chart-native tensors are obtained by
-pushing the reference-chart scores through the chart Jacobian before
-contraction, so no separate transformation step is needed.
+finite and positive-definite, cubic tensor finite).  Chart-native tensors
+are obtained by pushing the reference-chart scores through the chart
+Jacobian before contraction, so no separate transformation step is needed.
 """
 
 from dataclasses import dataclass
@@ -43,6 +43,10 @@ def chart_scores(model: ModelSpec, theta, chart=None, quad: QuadratureSpec = Non
 
 
 def _require_spd(g, theta):
+    # the Cholesky factorisation lets a NaN on the diagonal through
+    if not np.isfinite(g).all():
+        raise NotSPDError(
+            f"non-finite Fisher metric at theta={np.asarray(theta, dtype=float).tolist()}")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:

@@ -1,7 +1,10 @@
 """Grid posteriors: normalization, stability, invariances, consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from weylprior import (
     Axis,
@@ -20,6 +23,36 @@ from weylprior.priors import PriorField
 def g1_grid(counts=(21, 21)):
     return GridSpec((Axis("mu", -2.0, 2.0, counts[0]),
                      Axis("sigma2", 0.25, 4.0, counts[1])))
+
+
+def _canonical_order(obs):
+    if obs.ndim == 1:
+        return np.sort(obs)
+    return obs[np.lexsort(obs.T[::-1])]
+
+
+def reference_log_values(model, prior, data):
+    """The per-observation likelihood loop that grid_posterior replaced: every
+    observation is evaluated at every grid point and the terms are summed."""
+    ch = model.chart(prior.chart)
+    obs = _canonical_order(data.observations)
+    loglik = np.array([float(np.sum(model.log_density(obs, ch.to_reference(t))))
+                       for t in prior.points])
+    logpost = loglik + np.log(prior.values)
+    logvol = np.log(prior.grid.cell_volumes())
+    return logpost - logsumexp(logpost + logvol)
+
+
+def poisson_draws(n, seed=3):
+    return np.random.default_rng(seed).poisson(3.0, size=n).astype(float)
+
+
+def mv2_rows_with_duplicates():
+    rng = np.random.default_rng(21)
+    rows = rng.multivariate_normal([0.2, -0.1], [[1.0, 0.3], [0.3, 1.5]], size=300)
+    x = np.concatenate([rows, rows[:120], rows[:40], rows[:40]])
+    rng.shuffle(x)
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +161,54 @@ class TestPosterior:
         exact_masses = exact * grid.cell_volumes()
         exact_masses /= exact_masses.sum()
         np.testing.assert_allclose(post.masses, exact_masses, atol=5e-6)
+
+
+class TestDistinctObservations:
+    """The likelihood is summed once per distinct observation, weighted by its
+    multiplicity, and must agree with the per-observation loop."""
+
+    @pytest.mark.parametrize("model, grid, draw", [
+        ("pois", GridSpec((Axis("lam", 2.5, 3.5, 101),)),
+         lambda: poisson_draws(20_000)),
+        ("bern", GridSpec((Axis("p", 0.05, 0.95, 91),)),
+         lambda: np.random.default_rng(8).binomial(1, 0.3, size=5000).astype(float)),
+        ("mv2", GridSpec((Axis("mu1", -0.2, 0.6, 3), Axis("mu2", -0.5, 0.3, 3),
+                          Axis("s11", 0.7, 1.3, 3), Axis("s12", 0.1, 0.5, 3),
+                          Axis("s22", 1.1, 1.9, 3))),
+         mv2_rows_with_duplicates),
+    ], ids=["poisson", "bernoulli", "gaussian_mv2-duplicated-rows"])
+    def test_matches_per_observation_reference(self, request, model, grid, draw):
+        model = request.getfixturevalue(model)
+        prior = jeffreys_field(model, grid)
+        data = Dataset(draw())
+        post = grid_posterior(model, prior, data)
+        np.testing.assert_allclose(post.log_values,
+                                   reference_log_values(model, prior, data),
+                                   rtol=0, atol=1e-9)
+
+    def test_permutation_invariance_bitwise_repeated_values(self, pois):
+        prior = jeffreys_field(pois, GridSpec((Axis("lam", 2.0, 4.0, 41),)))
+        x = poisson_draws(5000)
+        a = grid_posterior(pois, prior, Dataset(x))
+        b = grid_posterior(pois, prior,
+                           Dataset(np.random.default_rng(1).permutation(x)))
+        np.testing.assert_array_equal(a.log_values, b.log_values)
+
+    def test_one_row_per_distinct_value(self, pois):
+        x = poisson_draws(100_000)
+        distinct = len(np.unique(x))
+        rows = []
+
+        def counting(obs, theta_ref):
+            rows.append(len(obs))
+            return pois.log_density(obs, theta_ref)
+
+        counted = dataclasses.replace(pois, log_density=counting)
+        prior = jeffreys_field(pois, GridSpec((Axis("lam", 2.5, 3.5, 21),)))
+        post = grid_posterior(counted, prior, Dataset(x))
+        assert len(rows) == 21
+        assert max(rows) <= distinct
+        assert np.all(np.isfinite(post.log_values))
 
 
 class TestCompare:

@@ -101,6 +101,13 @@ class TestFiniteDifferences:
             partial(lambda t: t[0], np.array([1.0]), 0,
                     DiffSpec(abs_floor=1e-7), lambda t: abs(t[0] - 1.0) < 1e-9)
 
+    @pytest.mark.parametrize("field", ["rel_step", "abs_floor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-4])
+    def test_diffspec_rejects_bad_steps(self, field, value):
+        # a NaN step used to make the stencil-halving loop in partial() spin forever
+        with pytest.raises(ValueError, match=field):
+            DiffSpec(**{field: value})
+
 
 class TestPathIntegrals:
     def test_path_validation(self):

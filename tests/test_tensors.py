@@ -132,3 +132,12 @@ class TestChecks:
                             lambda w, s: np.full((2, 2, 2), np.nan))
         with pytest.raises(NotSPDError, match="non-finite cubic tensor"):
             metric_and_cubic(g1, [0.0, 1.0])
+
+    @pytest.mark.parametrize("compute", [fisher_metric, metric_and_cubic])
+    def test_non_finite_metric_names_theta(self, g1, monkeypatch, compute):
+        # np.linalg.cholesky accepts a NaN on the diagonal
+        monkeypatch.setattr(kernels, "pair_contract",
+                            lambda w, s: np.diag([1.0, np.nan]))
+        with pytest.raises(NotSPDError, match=r"non-finite Fisher metric at "
+                                              r"theta=\[0\.0, 1\.0\]"):
+            compute(g1, [0.0, 1.0])
