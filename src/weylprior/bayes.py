@@ -77,10 +77,10 @@ def grid_posterior(model: ModelSpec, prior: PriorField, data: Dataset,
     model.sample_space.validate(data.observations, data.source)
     obs, counts = np.unique(data.observations, axis=0, return_counts=True)
     pts = prior.points
+    model.require_interior(pts, ch)
     loglik = np.empty(len(pts))
-    for k, t in enumerate(pts):
-        model.require_interior(t, chart)
-        loglik[k] = math.fsum((counts * model.log_density(obs, ch.to_reference(t))).tolist())
+    for k, t in enumerate(ch.to_reference(pts)):
+        loglik[k] = math.fsum((counts * model.log_density(obs, t)).tolist())
     logpost = loglik + np.log(prior.values)
     if not np.any(np.isfinite(logpost)):
         raise DataError("data has vanishing likelihood at every grid point")

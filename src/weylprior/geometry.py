@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosednessError, DomainError
-from .numerics import DiffSpec, Path, gradient, line_integral
-from .tensors import amari_chentsov, fisher_metric, inverse_metric, metric_and_cubic
+from .numerics import DiffSpec, Path, gradient, line_integral, segment_terms
+from .tensors import (amari_chentsov, fisher_metric, inverse_metric,
+                      metric_and_cubic, tensor_stack)
 
 # FD of connection coefficients sits on top of FD of the metric; a larger
 # step keeps the amplified roundoff of the inner differences in check.
@@ -73,26 +74,34 @@ def levi_civita(model, theta, chart=None, quad=None, diff=None):
 def alpha_connection(model, theta, alpha, chart=None, quad=None, diff=None):
     """Gamma^i_jk = LC - (alpha/2) g^il C_ljk."""
     lc = levi_civita(model, theta, chart, quad, diff)
-    ginv = inverse_metric(fisher_metric(model, theta, chart, quad))
-    cub = amari_chentsov(model, theta, chart, quad)
-    gamma = lc.gamma - 0.5 * alpha * np.einsum("il,ljk->ijk", ginv, cub.C)
+    met, cub = metric_and_cubic(model, theta, chart, quad)
+    gamma = lc.gamma - 0.5 * alpha * np.einsum("il,ljk->ijk", inverse_metric(met), cub.C)
     return ConnectionCoefficients(lc.at, gamma, f"alpha({alpha})", lc.chart)
+
+
+def _phi(cub, ginv):
+    return 0.5 * np.einsum("...ijk,...jk->...i", cub.C, ginv)
+
+
+def weyl_one_form_stack(model, thetas, chart=None, quad=None):
+    """phi_i = 1/2 C_ijk g^jk at every row of ``thetas`` (P, m), in one
+    stacked evaluation of the tensors; ``.at`` and ``.phi`` are (P, m)."""
+    met, cub = tensor_stack(model, thetas, chart, quad)
+    return OneFormSample(met.at, _phi(cub, inverse_metric(met)), met.chart)
 
 
 def weyl_one_form(model, theta, chart=None, quad=None):
     """phi_i = 1/2 C_ijk g^jk, the trace 1-form of the cubic tensor."""
-    met, cub = metric_and_cubic(model, theta, chart, quad)
-    ginv = inverse_metric(met)
-    phi = 0.5 * np.einsum("ijk,jk->i", cub.C, ginv)
-    return OneFormSample(met.at, phi, met.chart)
+    out = weyl_one_form_stack(model, np.asarray(theta, dtype=float)[None], chart, quad)
+    return OneFormSample(out.at[0], out.phi[0], out.chart)
 
 
 def weyl_connection(model, theta, chart=None, quad=None, diff=None):
     """LC plus 1/2 (delta^i_j phi_k + delta^i_k phi_j - g^im g_jk phi_m)."""
     lc = levi_civita(model, theta, chart, quad, diff)
-    met = fisher_metric(model, theta, chart, quad)
+    met, cub = metric_and_cubic(model, theta, chart, quad)
     ginv = inverse_metric(met)
-    phi = weyl_one_form(model, theta, chart, quad).phi
+    phi = _phi(cub, ginv)
     m = model.dim
     eye = np.eye(m)
     corr = 0.5 * (np.einsum("ij,k->ijk", eye, phi)
@@ -141,7 +150,9 @@ def potential_omega(model, theta, anchor, chart=None, quad=None, steps=24,
 
     Straight anchor->theta path when it stays in the domain, otherwise an
     axis-aligned staircase.  Integration uses composite Gauss-Legendre so the
-    potential is accurate to near machine precision for smooth 1-forms.
+    potential is accurate to near machine precision for smooth 1-forms; the
+    1-form is evaluated at all nodes of the path in one stacked call, and
+    the terms are added in the order of ``line_integral(rule="gauss")``.
     """
     ch, dom = _domain(model, chart)
     theta = np.asarray(theta, dtype=float)
@@ -164,9 +175,10 @@ def potential_omega(model, theta, anchor, chart=None, quad=None, steps=24,
             raise ClosednessError(
                 f"Weyl 1-form is not closed (residual {res:.3e} at "
                 f"{np.asarray(mid).tolist()}); the potential is undefined")
-    omega = line_integral(one_form_field(model, chart, quad),
-                          Path(waypoints, steps=steps), rule="gauss")
-    return PotentialValue(theta, anchor, omega)
+    path = Path(waypoints, steps=steps)
+    terms = segment_terms(lambda t: weyl_one_form_stack(model, t, chart, quad).phi,
+                          path.waypoints[:-1], path.waypoints[1:], steps)
+    return PotentialValue(theta, anchor, float(np.cumsum(terms)[-1]))
 
 
 def _connection_fn(model, kind, alpha, chart, quad, diff):

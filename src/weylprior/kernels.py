@@ -1,13 +1,20 @@
 """Weighted contraction kernels behind the Fisher metric and the cubic tensor.
 
-Given per-node weights w (q,) and per-node score vectors s (q, m):
+Given per-node weights w (P, q) and per-node score vectors s (P, q, m) for a
+stack of P points:
 
-    pair_contract:   G[i, j]    = sum_n w[n] s[n, i] s[n, j]
-    triple_contract: T[i, j, k] = sum_n w[n] s[n, i] s[n, j] s[n, k]
+    pair_contract_stack:   G[p, i, j]    = sum_n w[p, n] s[p, n, i] s[p, n, j]
+    triple_contract_stack: T[p, i, j, k] = sum_n w[p, n] s[p, n, i] s[p, n, j] s[p, n, k]
 
 einsum does the accumulation; both results are then symmetrised so that
-every permutation of an index tuple holds the same bit pattern.
+every permutation of an index tuple holds the same bit pattern.  A point's
+result does not depend on the other points of its stack, and nodes of zero
+weight (the padding of discrete supports) leave it unchanged.  Results are
+C-ordered, like their inputs: einsum's summation order follows the memory
+layout of its operands, so a C-ordered stack sums each point as one row does.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,26 +28,39 @@ def backend_name():
     return "python"
 
 
-def pair_contract(w, s):
-    """G[i,j] = sum_n w[n] s[n,i] s[n,j], exactly symmetric."""
-    g = np.einsum("n,ni,nj->ij", w, s, s)
-    return 0.5 * (g + g.T)
+def pair_contract_stack(w, s):
+    """G[p,i,j] = sum_n w[p,n] s[p,n,i] s[p,n,j], exactly symmetric."""
+    g = np.einsum("pn,pni,pnj->pij", w, s, s)
+    return 0.5 * (g + np.swapaxes(g, 1, 2))
 
 
-def triple_contract(w, s):
-    """T[i,j,k] = sum_n w[n] s[n,i] s[n,j] s[n,k], exactly symmetric."""
-    t = np.einsum("n,ni,nj,nk->ijk", w, s, s, s)
-    m = t.shape[0]
-    out = np.empty_like(t)
-    a = t.tolist()      # Python floats: the same IEEE doubles, cheaper to index
-    # average over the sorted triangle i <= j <= k and mirror, so the six
-    # symmetric slots hold the same bit pattern
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(j, m):
-                v = (a[i][j][k] + a[i][k][j] + a[j][i][k]
-                     + a[j][k][i] + a[k][i][j] + a[k][j][i]) / 6.0
-                out[i, j, k] = out[i, k, j] = v
-                out[j, i, k] = out[j, k, i] = v
-                out[k, i, j] = out[k, j, i] = v
-    return out
+@lru_cache(maxsize=16)
+def _mirror_indices(m):
+    """Flat indices of the six permutations (i,j,k), (i,k,j), (j,i,k), (j,k,i),
+    (k,i,j), (k,j,i) of every sorted triple i <= j <= k, shape (6, T), and
+    for every slot of an (m, m, m) array the position of its sorted triple."""
+    tri = [(i, j, k) for i in range(m) for j in range(i, m) for k in range(j, m)]
+    perms = np.array([[a * m * m + b * m + c
+                       for a, b, c in ((i, j, k), (i, k, j), (j, i, k),
+                                       (j, k, i), (k, i, j), (k, j, i))]
+                      for i, j, k in tri]).T
+    slot = np.empty(m ** 3, dtype=np.intp)
+    slot[perms] = np.arange(len(tri))
+    return perms, slot
+
+
+def triple_contract_stack(w, s):
+    """T[p,i,j,k] = sum_n w[p,n] s[p,n,i] s[p,n,j] s[p,n,k], exactly symmetric."""
+    t = np.einsum("pn,pni,pnj,pnk->pijk", w, s, s, s)
+    p, m = t.shape[:2]
+    perms, slot = _mirror_indices(m)
+    # average the six slots of each sorted triple, summed in a fixed order, and
+    # mirror the mean back, so the six symmetric slots hold the same bit pattern
+    a = np.take(t.reshape(p, -1), perms, axis=1)
+    v = a[:, 0] + a[:, 1]
+    for k in range(2, 6):
+        v += a[:, k]
+    v /= 6.0
+    # np.take keeps the result C-ordered; einsum over a stack whose point axis
+    # is innermost in memory would sum in another order than over one row
+    return np.take(v, slot, axis=1).reshape(t.shape)

@@ -49,6 +49,15 @@ def _node_grid(k, dim):
     return grid, wts
 
 
+@lru_cache(maxsize=8)
+def _log_std_normal(k, dim):
+    """log N(z; 0, I) at the nodes of ``_node_grid(k, dim)``."""
+    z = _node_grid(k, dim)[0]
+    out = -0.5 * (dim * LOG_2PI + np.sum(z * z, axis=1))
+    out.flags.writeable = False
+    return out
+
+
 def gauss_hermite_nodes(k, dim=1):
     """Standardized nodes and probabilist weights: integrates E[f(Z)], Z ~ N(0, I).
 
@@ -60,6 +69,18 @@ def gauss_hermite_nodes(k, dim=1):
     return _node_grid(k, dim)
 
 
+def nodes_per_point(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
+    """Sample points per parameter point that ``sample_nodes`` returns for the
+    stack ``theta_ref`` (P, m): the quadrature grid size, or the widest
+    discrete support of the stack."""
+    space = model.sample_space
+    if space.kind == "discrete":
+        return max(space.support_size(np.asarray(theta_ref, dtype=float)).tolist())
+    if quad is None:
+        quad = default_quadrature(model)
+    return quad.nodes ** space.dim
+
+
 def sample_nodes(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
     """Sample points and probability weights realizing E_theta[.].
 
@@ -67,27 +88,46 @@ def sample_nodes(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
     location/Cholesky hint, with an importance correction by the density
     ratio (identically 1 for Gaussian families).  Discrete models: the
     truncated support with its probability masses.
+
+    ``theta_ref`` is one reference-chart point (m,), giving points (q,) or
+    (q, d) and weights (q,), or a stack (P, m), giving points (P, q) or
+    (P, q, d) and weights (P, q).  In a stack, discrete supports are padded
+    to the widest one by further support points of zero weight.
     """
     theta_ref = np.asarray(theta_ref, dtype=float)
+    if theta_ref.ndim == 1:
+        x, w = _stacked_nodes(model, theta_ref[None], quad)
+        return x[0], w[0]
+    return _stacked_nodes(model, theta_ref, quad)
+
+
+def _stacked_nodes(model, theta_ref, quad):
     space = model.sample_space
     if space.kind == "discrete":
-        pts = np.asarray(space.support(theta_ref), dtype=float)
-        w = np.exp(model.log_density(pts, theta_ref))
-        return pts, w
+        size = space.support_size(theta_ref)
+        widths = size.tolist()
+        pts = np.arange(max(widths), dtype=float)
+        x = np.repeat(pts[None], len(theta_ref), axis=0)
+        w = np.exp(model.log_density(x, theta_ref))
+        if min(widths) < len(pts):
+            w[pts >= size[:, None]] = 0.0
+        return x, w
     if quad is None:
         quad = default_quadrature(model)
-    mean, chol = model.standardize(theta_ref)
+    mean, chol = model.standardize(theta_ref)        # (P, d), (P, d, d)
     d = space.dim
     z, w = gauss_hermite_nodes(quad.nodes, d)
-    x = mean + z @ chol.T
+    x = mean[:, None, :] + z @ np.swapaxes(chol, 1, 2)
     # ratio p(x|theta) / N(x; mean, chol chol^T); exact 1 for Gaussians
-    zz = np.sum(z * z, axis=1)
-    logdet = np.sum(np.log(np.diag(chol)))
-    log_q = -0.5 * (d * LOG_2PI + zz) - logdet
-    xx = x[:, 0] if d == 1 else x
+    logdet = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    log_q = _log_std_normal(quad.nodes, d) - logdet[:, None]
+    xx = x[..., 0] if d == 1 else x
     ratio = np.exp(model.log_density(xx, theta_ref) - log_q)
-    if not np.all(np.isfinite(ratio)):
-        raise DomainError("non-finite density ratio at a quadrature node")
+    if not np.isfinite(ratio).all():
+        finite = np.isfinite(ratio).all(axis=1)
+        raise DomainError(
+            f"non-finite density ratio at a quadrature node at reference-chart "
+            f"theta={theta_ref[np.argmin(finite)].tolist()}")
     return xx, w * ratio
 
 
@@ -227,3 +267,22 @@ def line_integral(omega, path: Path, rule="midpoint"):
         else:
             raise ValueError(f"unknown integration rule {rule!r}")
     return total
+
+
+def segment_terms(omega_stack, starts, ends, steps):
+    """Terms of the composite 5-point Gauss-Legendre rule for the integrals of
+    a 1-form over the straight segments ``starts[s] -> ends[s]`` (both (S, m)).
+
+    ``omega_stack`` maps a stack of points (K, m) to covectors (K, m) and is
+    called once, on all S * 5 * steps nodes.  Row s holds the terms of
+    segment s in the order ``line_integral(rule="gauss")`` adds them, so a
+    running sum (``np.cumsum``) along the row reproduces its accumulation.
+    """
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    span = ends - starts
+    frac = ((np.arange(steps)[:, None] + _GL_T) / steps).reshape(-1)
+    nodes = starts[:, None, :] + frac[:, None] * span[:, None, :]
+    phi = np.asarray(omega_stack(nodes.reshape(-1, starts.shape[1])))
+    phi = phi.reshape(nodes.shape)
+    return np.tile(_GL_W, steps) * np.einsum("sni,si->sn", phi, span / steps)

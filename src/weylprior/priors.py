@@ -12,10 +12,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ClosednessError, GridError
-from .geometry import (closedness_residual, one_form_field, potential_omega,
-                       CLOSEDNESS_TOL)
+from .geometry import (closedness_residual, potential_omega,
+                       weyl_one_form_stack, CLOSEDNESS_TOL)
 from .models import ModelSpec
-from .numerics import Path, line_integral
+from .numerics import segment_terms
 from .tensors import fisher_metric, sqrt_det_metric
 
 # Gauss-Legendre steps on each grid edge of the Omega sweep; 2 steps lose
@@ -127,8 +127,7 @@ def _chart_points(model, points, chart):
             f"got {points.shape[-1]} coordinate(s) per point (one per grid "
             f"axis) but chart {ch.name!r} of model {model.id!r} has "
             f"dimension {ch.dim}")
-    for t in points:
-        model.require_interior(t, ch)
+    model.require_interior(points, ch)
     return points
 
 
@@ -155,24 +154,33 @@ def _grid_omega(model, grid: GridSpec, anchor, quad):
     One potential_omega path runs from the anchor to the first grid point.
     Every other point adds, to the value of its predecessor along its last
     axis with a non-zero index, the integral of the Weyl 1-form over the
-    single axis edge between them.  The chart domains of all families are
-    convex (half-lines, intervals, the SPD cone), so an edge between two
-    interior grid points stays interior.
+    single axis edge between them.  The 1-form is evaluated at the
+    Gauss-Legendre nodes of all edges in one stacked call; the edge values
+    then accumulate by running sums along the grid axes.  The chart domains
+    of all families are convex (half-lines, intervals, the SPD cone), so an
+    edge between two interior grid points stays interior.
     """
     pts = _chart_points(model, grid.points(), grid.chart)
     _check_closedness(model, pts, grid.chart, quad)
-    phi = one_form_field(model, grid.chart, quad)
     shape = grid.shape
+    n = np.arange(1, len(pts))
+    idx = np.array(np.unravel_index(n, shape)).T
+    last = len(shape) - 1 - np.argmax(idx[:, ::-1] != 0, axis=1)
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    terms = segment_terms(
+        lambda t: weyl_one_form_stack(model, t, grid.chart, quad).phi,
+        pts[n - strides[last]], pts[n], EDGE_STEPS)
     omega = np.empty(len(pts))
     omega[0] = potential_omega(model, pts[0], anchor, grid.chart, quad,
                                check_closedness=False).omega
-    for n in range(1, len(pts)):
-        idx = np.unravel_index(n, shape)
-        k = max(i for i, j in enumerate(idx) if j)
-        prev = n - int(np.prod(shape[k + 1:]))
-        omega[n] = omega[prev] + line_integral(
-            phi, Path([pts[prev], pts[n]], steps=EDGE_STEPS), rule="gauss")
-    return omega
+    omega[1:] = np.cumsum(terms, axis=1)[:, -1]
+    # point n's value is its predecessor's plus its edge: running sums along
+    # axis k over the points whose later indices are all zero
+    omega = omega.reshape(shape)
+    for k in range(len(shape)):
+        head = (slice(None),) * (k + 1) + (0,) * (len(shape) - k - 1)
+        omega[head] = np.cumsum(omega[head], axis=k)
+    return omega.reshape(-1)
 
 
 def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
@@ -190,6 +198,9 @@ def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
         omega = np.array([potential_omega(model, t, anchor, chart, quad,
                                           check_closedness=False).omega
                           for t in points])
+    # one-row calls: one stacked call makes perfbench's jeffreys-posterior-poisson
+    # round shorter than its host-speed sampling interval, which fails the
+    # run (ROADMAP item 0)
     jeffreys = np.array([sqrt_det_metric(fisher_metric(model, t, chart, quad))
                          for t in points])
     if exponent is None:

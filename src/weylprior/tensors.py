@@ -1,27 +1,41 @@
-"""Pointwise Fisher metric and cubic (Amari-Chentsov) tensor.
+"""Fisher metric and cubic (Amari-Chentsov) tensor over stacks of points.
 
-Both are quadrature expectations of products of score components; the
-kernels return exactly symmetric arrays, which are checked here (metric
-finite and positive-definite, cubic tensor finite).  Chart-native tensors
-are obtained by pushing the reference-chart scores through the chart
-Jacobian before contraction, so no separate transformation step is needed.
+Both are quadrature expectations of products of score components.  They are
+evaluated on a leading point axis: ``tensor_stack`` takes points (P, m),
+splits them into chunks whose largest temporary stays under CHUNK_BYTES,
+and for each chunk builds sample nodes, scores and both contractions in a
+few NumPy calls.  The kernels return exactly symmetric arrays, which are
+checked here (metric finite and positive-definite, cubic tensor finite);
+a failed check names the offending point.  The Cholesky factor of the SPD
+check is kept, and g^-1 and sqrt(det g) are taken from it.  Chart-native
+tensors are obtained by pushing the reference-chart scores through the
+chart Jacobian before contraction, so no separate transformation step is
+needed.  ``fisher_metric``, ``amari_chentsov`` and ``metric_and_cubic`` are
+one-row calls of ``tensor_stack``.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import kernels
 from .errors import NotSPDError
 from .models import ModelSpec
-from .numerics import QuadratureSpec, sample_nodes
+from .numerics import QuadratureSpec, default_quadrature, nodes_per_point, sample_nodes
+
+# bound on one chunk's score-product footprint, q * m * m doubles per point
+CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
 class MetricTensor:
+    """g at one point, (m,) and (m, m), or at a stack, (P, m) and (P, m, m)."""
+
     at: np.ndarray
     g: np.ndarray
     chart: str
+    chol: Optional[np.ndarray] = None   # lower Cholesky factor, from the SPD check
 
 
 @dataclass(frozen=True)
@@ -31,80 +45,150 @@ class CubicTensor:
     chart: str
 
 
-def chart_scores(model: ModelSpec, theta, chart=None, quad: QuadratureSpec = None):
-    """Sample nodes, weights, and chart-native score matrix (q, m)."""
-    ch = model.require_interior(theta, chart)
-    theta_ref = ch.to_reference(theta)
+def _chunk_rows(model, theta_ref, quad):
+    """Points per chunk, so that q * m * m doubles per point fit CHUNK_BYTES."""
+    q = nodes_per_point(model, theta_ref, quad)
+    return max(1, CHUNK_BYTES // (8 * q * model.dim * model.dim))
+
+
+def _name(thetas, ok):
+    return np.asarray(thetas, dtype=float)[np.argmin(ok)].tolist()
+
+
+def _require_spd(g, thetas):
+    """Cholesky factors of the metrics g (P, m, m); NotSPDError names the
+    first point whose metric is non-finite or not positive-definite."""
+    # the Cholesky factorisation lets a NaN on the diagonal through
+    if not np.isfinite(g).all():
+        finite = np.isfinite(g).all(axis=(1, 2))
+        raise NotSPDError(f"non-finite Fisher metric at theta={_name(thetas, finite)}")
+    try:
+        return np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        pass
+    spd = np.ones(len(g), dtype=bool)
+    for k, gk in enumerate(g):
+        try:
+            np.linalg.cholesky(gk)
+        except np.linalg.LinAlgError:
+            spd[k] = False
+            break
+    raise NotSPDError(
+        f"Fisher metric is not positive-definite at theta={_name(thetas, spd)} "
+        f"(quadrature or domain misconfiguration)")
+
+
+def _require_finite(c, thetas):
+    if not np.isfinite(c).all():
+        finite = np.isfinite(c).all(axis=(1, 2, 3))
+        raise NotSPDError(f"non-finite cubic tensor at theta={_name(thetas, finite)}")
+
+
+def _chunk(model, ch, thetas, theta_ref, quad, metric, cubic):
+    """Checked metric, its Cholesky factor and cubic tensor for one chunk."""
     x, w = sample_nodes(model, theta_ref, quad)
     s = model.score_ref(x, theta_ref)
     if ch.name != model.reference:
-        s = s @ ch.jacobian(np.asarray(theta, dtype=float))
-    return x, w, s, ch
+        s = s @ ch.jacobian(thetas)
+    g = chol = c = None
+    if metric:
+        g = kernels.pair_contract_stack(w, s)
+        chol = _require_spd(g, thetas)
+    if cubic:
+        c = kernels.triple_contract_stack(w, s)
+        _require_finite(c, thetas)
+    return g, chol, c
 
 
-def _require_spd(g, theta):
-    # the Cholesky factorisation lets a NaN on the diagonal through
-    if not np.isfinite(g).all():
-        raise NotSPDError(
-            f"non-finite Fisher metric at theta={np.asarray(theta, dtype=float).tolist()}")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise NotSPDError(
-            f"Fisher metric is not positive-definite at "
-            f"theta={np.asarray(theta, dtype=float).tolist()} "
-            f"(quadrature or domain misconfiguration)") from None
+def _evaluate(model, ch, thetas, quad, metric, cubic):
+    """Metric, Cholesky factor and cubic tensor arrays of a stack of points
+    interior to the chart ``ch``."""
+    if quad is None and model.sample_space.kind == "continuous":
+        quad = default_quadrature(model)
+    theta_ref = ch.to_reference(thetas)
+    p, m = len(thetas), model.dim
+    rows = _chunk_rows(model, theta_ref, quad) if p > 1 else 1
+    if 0 < p <= rows:
+        return _chunk(model, ch, thetas, theta_ref, quad, metric, cubic)
+    g = np.empty((p, m, m)) if metric else None
+    chol = np.empty((p, m, m)) if metric else None
+    c = np.empty((p, m, m, m)) if cubic else None
+    for a in range(0, p, rows):
+        part = slice(a, a + rows)
+        g_part, chol_part, c_part = _chunk(model, ch, thetas[part],
+                                           theta_ref[part], quad, metric, cubic)
+        if metric:
+            g[part], chol[part] = g_part, chol_part
+        if cubic:
+            c[part] = c_part
+    return g, chol, c
 
 
-def _require_finite(c, theta):
-    if not np.isfinite(c).all():
-        raise NotSPDError(
-            f"non-finite cubic tensor at theta={np.asarray(theta, dtype=float).tolist()}")
+def tensor_stack(model: ModelSpec, thetas, chart=None,
+                 quad: QuadratureSpec = None, metric=True, cubic=True):
+    """Checked metric and cubic tensor at every row of ``thetas`` (P, m).
+
+    Returns ``(MetricTensor, CubicTensor)`` with stacked arrays; the one not
+    asked for (``metric=False`` or ``cubic=False``) is None.  Points are
+    evaluated in chunks; a point's values do not depend on the chunk.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    ch = model.require_interior(thetas, chart)
+    g, chol, c = _evaluate(model, ch, thetas, quad, metric, cubic)
+    return (MetricTensor(thetas, g, ch.name, chol) if metric else None,
+            CubicTensor(thetas, c, ch.name) if cubic else None)
+
+
+def _one_point(model, theta, chart, quad, metric, cubic):
+    at = np.asarray(theta, dtype=float)
+    ch = model.require_interior(at, chart)
+    g, chol, c = _evaluate(model, ch, at[None], quad, metric, cubic)
+    return (MetricTensor(at, g[0], ch.name, chol[0]) if metric else None,
+            CubicTensor(at, c[0], ch.name) if cubic else None)
 
 
 def fisher_metric(model, theta, chart=None, quad=None):
     """g_ij = E[ (d_i l)(d_j l) ], SPD-checked."""
-    _, w, s, ch = chart_scores(model, theta, chart, quad)
-    g = kernels.pair_contract(w, s)
-    _require_spd(g, theta)
-    return MetricTensor(np.asarray(theta, dtype=float), g, ch.name)
+    return _one_point(model, theta, chart, quad, True, False)[0]
 
 
 def amari_chentsov(model, theta, chart=None, quad=None):
     """C_ijk = E[ (d_i l)(d_j l)(d_k l) ], checked to be finite."""
-    _, w, s, ch = chart_scores(model, theta, chart, quad)
-    c = kernels.triple_contract(w, s)
-    _require_finite(c, theta)
-    return CubicTensor(np.asarray(theta, dtype=float), c, ch.name)
+    return _one_point(model, theta, chart, quad, False, True)[1]
 
 
 def metric_and_cubic(model, theta, chart=None, quad=None):
     """Metric and cubic tensor from one shared set of quadrature nodes, checked
     as in ``fisher_metric`` and ``amari_chentsov``."""
-    _, w, s, ch = chart_scores(model, theta, chart, quad)
-    g = kernels.pair_contract(w, s)
-    c = kernels.triple_contract(w, s)
-    _require_spd(g, theta)
-    _require_finite(c, theta)
-    at = np.asarray(theta, dtype=float)
-    return MetricTensor(at, g, ch.name), CubicTensor(at, c, ch.name)
+    return _one_point(model, theta, chart, quad, True, True)
+
+
+def _cholesky(metric: MetricTensor):
+    if metric.chol is not None:
+        return metric.chol
+    try:
+        return np.linalg.cholesky(metric.g)
+    except np.linalg.LinAlgError:
+        raise NotSPDError("metric is not SPD") from None
 
 
 def inverse_metric(metric: MetricTensor):
-    """g^{-1} via np.linalg.inv, symmetrized; raises NotSPDError when singular."""
-    g = metric.g
-    try:
-        inv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        raise NotSPDError("metric is singular") from None
-    # symmetrize away solver roundoff
-    return 0.5 * (inv + inv.T)
+    """g^{-1} = L^{-T} L^{-1} from the Cholesky factor L, exactly symmetric;
+    works on one metric or a stack."""
+    L = _cholesky(metric)
+    m = L.shape[-1]
+    # forward substitution, row by row: L^{-1} is lower triangular
+    x = np.zeros_like(L)
+    for i in range(m):
+        x[..., i, i] = 1.0 / L[..., i, i]
+        if i:
+            x[..., i, :i] = -(L[..., i, None, :i] @ x[..., :i, :i])[..., 0, :] * x[..., i, i, None]
+    inv = np.swapaxes(x, -1, -2) @ x
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def sqrt_det_metric(metric: MetricTensor):
-    """sqrt(det g) from the Cholesky factor (stable for small determinants)."""
-    try:
-        L = np.linalg.cholesky(metric.g)
-    except np.linalg.LinAlgError:
-        raise NotSPDError("metric is not SPD") from None
-    return float(np.prod(np.diag(L)))
+    """sqrt(det g) as the product of the Cholesky diagonal (stable for small
+    determinants); a float for one metric, an array (P,) for a stack."""
+    d = _cholesky(metric).diagonal(axis1=-2, axis2=-1).prod(axis=-1)
+    return float(d) if np.ndim(d) == 0 else d

@@ -2,8 +2,9 @@
 
 perfbench/run.py imports the program from src/ and calls it through a fixed
 set of names (see perfbench/workloads.py and perfbench/tracer.py); a renamed
-function or changed signature shows up here as a failed run rather than only
-when the benchmark is next measured.
+function, a changed signature or a result that a tracer hook cannot read
+shows up here as a failed run rather than only when the benchmark is next
+measured.  Every workload runs once, traced.
 """
 
 import json
@@ -11,17 +12,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_poisson_posterior_run_is_correct():
+def traced_run(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "jeffreys-posterior-poisson", "--seed", "1",
-         "--seconds", "0", "--trace", "1"],
+         "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_traced_poisson_posterior_run_is_correct():
+    traced_run("jeffreys-posterior-poisson")
+
+
+@pytest.mark.parametrize("workload", ["weyl-posterior-g1", "weyl-field-mv2",
+                                      "identity-suite"])
+def test_traced_run_is_correct(workload):
+    traced_run(workload)

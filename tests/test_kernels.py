@@ -1,4 +1,4 @@
-"""Exact symmetry and accuracy of the contraction kernels."""
+"""Exact symmetry and accuracy of the stacked contraction kernels."""
 
 from itertools import permutations
 
@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from weylprior import kernels
 
 
-def random_case(seed, q, m):
+def random_case(seed, q, m, p=1):
+    """Weights (p, q) and scores (p, q, m) for a stack of p points."""
     rng = np.random.default_rng(seed)
-    return rng.random(q), rng.standard_normal((q, m))
+    return rng.random((p, q)), rng.standard_normal((p, q, m))
 
 
 def looped_triple(w, s):
@@ -31,46 +32,71 @@ def looped_triple(w, s):
     return out
 
 
-@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 200), m=st.integers(1, 7))
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 200), m=st.integers(1, 7),
+       p=st.integers(1, 4))
 @settings(max_examples=50, deadline=None)
-def test_symmetric_and_match_direct_sum(seed, q, m):
-    w, s = random_case(seed, q, m)
-    g = kernels.pair_contract(w, s)
-    t = kernels.triple_contract(w, s)
-    assert np.array_equal(g, g.T)
-    for perm in permutations(range(3)):
-        assert np.array_equal(t, np.transpose(t, perm))
-    # per-node sums; the tolerance is 1e-12 of the summed magnitudes
-    pair = sum(w[n] * np.multiply.outer(s[n], s[n]) for n in range(q))
-    triple = sum(w[n] * np.multiply.outer(np.multiply.outer(s[n], s[n]), s[n])
-                 for n in range(q))
-    size = np.max(np.abs(s), axis=1)
-    np.testing.assert_allclose(g, pair, rtol=0, atol=1e-12 * (w @ size ** 2))
-    np.testing.assert_allclose(t, triple, rtol=0, atol=1e-12 * (w @ size ** 3))
+def test_symmetric_and_match_direct_sum(seed, q, m, p):
+    ws, ss = random_case(seed, q, m, p)
+    gs = kernels.pair_contract_stack(ws, ss)
+    ts = kernels.triple_contract_stack(ws, ss)
+    for w, s, g, t in zip(ws, ss, gs, ts):
+        assert np.array_equal(g, g.T)
+        for perm in permutations(range(3)):
+            assert np.array_equal(t, np.transpose(t, perm))
+        # per-node sums; the tolerance is 1e-12 of the summed magnitudes
+        pair = sum(w[n] * np.multiply.outer(s[n], s[n]) for n in range(q))
+        triple = sum(w[n] * np.multiply.outer(np.multiply.outer(s[n], s[n]), s[n])
+                     for n in range(q))
+        size = np.max(np.abs(s), axis=1)
+        np.testing.assert_allclose(g, pair, rtol=0, atol=1e-12 * (w @ size ** 2))
+        np.testing.assert_allclose(t, triple, rtol=0, atol=1e-12 * (w @ size ** 3))
 
 
 def test_triple_matches_looped_reference():
     for seed, (q, m) in enumerate([(64, 2), (1024, 5), (57, 1), (200, 7), (5, 3)]):
-        w, s = random_case(seed, q, m)
-        assert np.array_equal(kernels.triple_contract(w, s), looped_triple(w, s))
+        w, s = random_case(seed, q, m, p=3)
+        t = kernels.triple_contract_stack(w, s)
+        for k in range(3):
+            assert np.array_equal(t[k], looped_triple(w[k], s[k]))
 
 
 # The case id is the name of the module that held the NumPy kernel before it
 # moved into `kernels`; it is kept so the case is reported as it always was.
 @pytest.mark.parametrize("impl", [kernels], ids=["weylprior._contract_py"])
 def test_exact_symmetry(impl):
-    w, s = random_case(3, 500, 5)
-    g = impl.pair_contract(w, s)
-    assert np.array_equal(g, g.T)
-    t = impl.triple_contract(w, s)
-    for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
+    w, s = random_case(3, 500, 5, p=2)
+    g = impl.pair_contract_stack(w, s)
+    assert np.array_equal(g, np.transpose(g, (0, 2, 1)))
+    t = impl.triple_contract_stack(w, s)
+    for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)):
         assert np.array_equal(t, np.transpose(t, perm))
 
 
 def test_pair_matches_direct_sum():
     w, s = random_case(0, 64, 3)
-    expected = sum(w[n] * np.outer(s[n], s[n]) for n in range(64))
-    np.testing.assert_allclose(kernels.pair_contract(w, s), expected, rtol=1e-12)
+    expected = sum(w[0, n] * np.outer(s[0, n], s[0, n]) for n in range(64))
+    np.testing.assert_allclose(kernels.pair_contract_stack(w, s)[0], expected,
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("q,m", [(64, 2), (1024, 5), (57, 1), (200, 7), (5, 3)])
+def test_stack_independent_and_padding_invariant(q, m):
+    # a point's tensors are bitwise the same alone, in any stack, and with
+    # zero-weight nodes appended (the padding of discrete supports)
+    w, s = random_case(q * m, q, m, p=6)
+    g = kernels.pair_contract_stack(w, s)
+    t = kernels.triple_contract_stack(w, s)
+    # einsum downstream sums in an order that follows the memory layout
+    assert g.flags.c_contiguous and t.flags.c_contiguous
+    pad = 11
+    wp = np.concatenate([w, np.zeros((6, pad))], axis=1)
+    sp = np.concatenate([s, np.repeat(s[:, -1:], pad, axis=1)], axis=1)
+    assert np.array_equal(kernels.pair_contract_stack(wp, sp), g)
+    assert np.array_equal(kernels.triple_contract_stack(wp, sp), t)
+    for k in range(6):
+        one = slice(k, k + 1)
+        assert np.array_equal(kernels.pair_contract_stack(w[one], s[one])[0], g[k])
+        assert np.array_equal(kernels.triple_contract_stack(w[one], s[one])[0], t[k])
 
 
 def test_backend_name_reported():

@@ -1,5 +1,7 @@
 """Prior fields: Jeffreys, alpha-parallel, Weyl, reparametrization, CSV."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from weylprior import (
     theorem_ratio_check,
     weyl_prior_field,
 )
-from weylprior import geometry
+from weylprior import geometry, priors
 from weylprior.errors import GridError
 from weylprior.numerics import QuadratureSpec
 from weylprior.priors import read_csv, reparam_transform, write_csv
@@ -101,15 +103,23 @@ class TestFields:
 
 
 def count_one_forms(monkeypatch):
+    """Record the number of points of every stacked 1-form evaluation; one-point
+    calls (closedness probe) are one-row stacks and are recorded too."""
     calls = []
-    inner = geometry.weyl_one_form
+    inner = geometry.weyl_one_form_stack
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counted(model, thetas, *args, **kwargs):
+        calls.append(len(thetas))
+        return inner(model, thetas, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "weyl_one_form", counted)
+    monkeypatch.setattr(geometry, "weyl_one_form_stack", counted)
+    monkeypatch.setattr(priors, "weyl_one_form_stack", counted)
     return calls
+
+
+def g1_grid(n):
+    return GridSpec((Axis("mu", -2.0, 2.0, n),
+                     Axis("sigma2", 0.25, 16.0, n, spacing="log")))
 
 
 class TestGridSweep:
@@ -141,18 +151,44 @@ class TestGridSweep:
 
     def test_one_form_calls_per_point(self, g1, monkeypatch):
         calls = count_one_forms(monkeypatch)
-        grid = GridSpec((Axis("mu", -2.0, 2.0, 21),
-                         Axis("sigma2", 0.25, 16.0, 21, spacing="log")))
-        weyl_prior_field(g1, grid, anchor=[0.0, 1.0])
-        assert len(calls) <= 25 * 441
+        weyl_prior_field(g1, g1_grid(21), anchor=[0.0, 1.0])
+        assert 0 < sum(calls) <= 25 * 441
+        # stacked calls: one for the anchor path, one for all grid edges and
+        # one-row calls for the closedness probe, whatever the grid size
+        stacked = len(calls)
+        calls.clear()
+        weyl_prior_field(g1, g1_grid(5), anchor=[0.0, 1.0])
+        assert len(calls) == stacked
+        # the 24 edges of the 5x5 grid, 4 steps of 5 Gauss-Legendre nodes each
+        assert max(calls) == 24 * 4 * 5
 
     def test_theorem_ratio_sweeps_once(self, g1, monkeypatch):
         calls = count_one_forms(monkeypatch)
         weyl_prior_field(g1, small_grid(), anchor=[0.0, 1.0])
-        one_field = len(calls)
+        one_field = list(calls)
         calls.clear()
         theorem_ratio_check(g1, small_grid(), anchor=[0.0, 1.0])
-        assert len(calls) == one_field
+        assert calls == one_field
+
+    @pytest.mark.parametrize("case", ["gaussian1d-21x21", "gaussian_mv2-5x5"])
+    def test_bounded_memory(self, request, case):
+        # the geometry is evaluated in chunks; one unchunked stack of the
+        # 8800 edge nodes of the 21x21 grid alone allocates about 30 MB
+        if case == "gaussian1d-21x21":
+            model, grid, anchor = request.getfixturevalue("g1"), g1_grid(21), [0.0, 1.0]
+        else:
+            model = request.getfixturevalue("mv2")
+            grid = GridSpec((Axis("mu0", 0.0, 0.0, 1), Axis("mu1", 0.0, 0.0, 1),
+                             Axis("s00", 0.5, 2.0, 5, "log"), Axis("s01", 0.2, 0.2, 1),
+                             Axis("s11", 0.5, 2.0, 5, "log")))
+            anchor = [0.0, 0.0, 1.0, 0.2, 1.0]
+        tracemalloc.start()
+        try:
+            weyl_prior_field(model, grid, anchor=anchor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestTheoremRatio:

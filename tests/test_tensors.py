@@ -5,8 +5,11 @@ import pytest
 
 from weylprior import (QuadratureSpec, amari_chentsov, fisher_metric, kernels,
                        weyl_one_form)
-from weylprior.errors import NotSPDError
-from weylprior.tensors import inverse_metric, metric_and_cubic, sqrt_det_metric
+from weylprior.errors import DomainError, NotSPDError
+from weylprior.geometry import weyl_one_form_stack
+from weylprior.numerics import sample_nodes
+from weylprior.tensors import (CHUNK_BYTES, inverse_metric, metric_and_cubic,
+                               sqrt_det_metric, tensor_stack)
 
 from conftest import vech_theta
 
@@ -128,16 +131,112 @@ class TestChecks:
         assert "theta=[0.0, 0.0, 1.0, 0.2, 1.0]" in str(exc.value)
 
     def test_non_finite_cubic_raises(self, g1, monkeypatch):
-        monkeypatch.setattr(kernels, "triple_contract",
-                            lambda w, s: np.full((2, 2, 2), np.nan))
+        monkeypatch.setattr(kernels, "triple_contract_stack",
+                            lambda w, s: np.full((len(w), 2, 2, 2), np.nan))
         with pytest.raises(NotSPDError, match="non-finite cubic tensor"):
             metric_and_cubic(g1, [0.0, 1.0])
 
     @pytest.mark.parametrize("compute", [fisher_metric, metric_and_cubic])
     def test_non_finite_metric_names_theta(self, g1, monkeypatch, compute):
         # np.linalg.cholesky accepts a NaN on the diagonal
-        monkeypatch.setattr(kernels, "pair_contract",
-                            lambda w, s: np.diag([1.0, np.nan]))
+        monkeypatch.setattr(kernels, "pair_contract_stack",
+                            lambda w, s: np.broadcast_to(np.diag([1.0, np.nan]),
+                                                         (len(w), 2, 2)))
         with pytest.raises(NotSPDError, match=r"non-finite Fisher metric at "
                                               r"theta=\[0\.0, 1\.0\]"):
             compute(g1, [0.0, 1.0])
+
+
+def stack_points(model_id, chart):
+    """Interior points of each case; gaussian1d gets more than one chunk."""
+    rng = np.random.default_rng(7)
+    if model_id == "gaussian1d":
+        n = 2 * CHUNK_BYTES // (8 * 64 * 2 * 2) + 3    # 64 nodes, m = 2
+        mu, s = rng.uniform(-2, 2, n), np.exp(rng.uniform(-1.5, 1.5, n))
+        second = {"mu_sigma2": s, "mu_sigma": np.sqrt(s), "natural": -0.5 / s}[chart]
+        first = mu / s if chart == "natural" else mu
+        return np.column_stack([first, second])
+    if model_id == "gaussian_mv:2":
+        return np.array([vech_theta([0.1 * k, -0.2], [[1.0 + 0.2 * k, 0.1 * k],
+                                                       [0.1 * k, 1.5 - 0.1 * k]])
+                         for k in range(5)])
+    if model_id == "bernoulli":
+        return rng.uniform(0.05, 0.95, (9, 1))
+    # rates whose truncated supports differ in width, so rows are padded
+    return np.array([[0.5], [3.0], [40.0], [1.2], [12.0]])
+
+
+class TestStackIndependence:
+    """Every point of a stack gets bitwise the values of a one-point call."""
+
+    CASES = [("gaussian1d", "mu_sigma2"), ("gaussian1d", "mu_sigma"),
+             ("gaussian1d", "natural"), ("gaussian_mv:2", "mu_vech"),
+             ("bernoulli", "p"), ("poisson", "lam")]
+
+    @pytest.mark.parametrize("model_id,chart", CASES,
+                             ids=[f"{m}-{c}" for m, c in CASES])
+    def test_matches_one_point_calls(self, model_id, chart):
+        from weylprior import get_model
+        model = get_model(model_id)
+        pts = stack_points(model_id, chart)
+        met, cub = tensor_stack(model, pts, chart)
+        phi = weyl_one_form_stack(model, pts, chart).phi
+        root = sqrt_det_metric(met)
+        assert met.g.shape == (len(pts), model.dim, model.dim)
+        for k, t in enumerate(pts):
+            one_met, one_cub = metric_and_cubic(model, t, chart)
+            assert np.array_equal(met.g[k], one_met.g)
+            assert np.array_equal(met.g[k], fisher_metric(model, t, chart).g)
+            assert np.array_equal(cub.C[k], one_cub.C)
+            assert np.array_equal(cub.C[k], amari_chentsov(model, t, chart).C)
+            assert np.array_equal(phi[k], weyl_one_form(model, t, chart).phi)
+            assert root[k] == sqrt_det_metric(one_met)
+
+    def test_padded_supports_have_zero_weight(self, pois):
+        rates = np.array([[0.5], [40.0]])
+        x, w = sample_nodes(pois, rates)
+        for k, lam in enumerate(rates):
+            one_x, one_w = sample_nodes(pois, lam)
+            q = len(one_w)
+            assert np.array_equal(x[k, :q], one_x)
+            assert np.array_equal(w[k, :q], one_w)
+            assert np.all(w[k, q:] == 0.0)
+        assert len(w[0]) == len(w[1]) > len(sample_nodes(pois, rates[0])[1])
+
+    def test_inverse_and_sqrt_det_from_one_factor(self, mv2):
+        met = fisher_metric(mv2, vech_theta([0.4, -0.9], [[2.0, 0.7], [0.7, 1.5]]))
+        np.testing.assert_allclose(inverse_metric(met) @ met.g, np.eye(5), atol=1e-12)
+        assert sqrt_det_metric(met) == pytest.approx(np.sqrt(np.linalg.det(met.g)),
+                                                     rel=1e-12)
+        assert np.array_equal(met.chol, np.linalg.cholesky(met.g))
+
+
+class TestStackErrors:
+    def test_outside_point_is_named(self, g1):
+        pts = [[0.0, 1.0], [0.5, 2.0], [0.25, -1.0], [0.0, 3.0]]
+        with pytest.raises(DomainError, match=r"theta=\[0\.25, -1\.0\] is not interior"):
+            tensor_stack(g1, pts)
+        with pytest.raises(DomainError, match=r"theta=\[0\.25, -1\.0\]"):
+            weyl_one_form_stack(g1, pts)
+
+    def test_non_finite_metric_names_its_point(self, g1, monkeypatch):
+        def nan_second_row(w, s):
+            g = np.einsum("pn,pni,pnj->pij", w, s, s)
+            g[1, 1, 1] = np.nan
+            return g
+
+        monkeypatch.setattr(kernels, "pair_contract_stack", nan_second_row)
+        with pytest.raises(NotSPDError, match=r"non-finite Fisher metric at "
+                                              r"theta=\[0\.5, 2\.0\]"):
+            tensor_stack(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
+
+    def test_not_spd_names_its_point(self, g1, monkeypatch):
+        def indefinite_last_row(w, s):
+            g = np.einsum("pn,pni,pnj->pij", w, s, s)
+            g[-1] = [[1.0, 2.0], [2.0, 1.0]]
+            return g
+
+        monkeypatch.setattr(kernels, "pair_contract_stack", indefinite_last_row)
+        with pytest.raises(NotSPDError, match=r"not positive-definite at "
+                                              r"theta=\[0\.0, 3\.0\]"):
+            tensor_stack(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
