@@ -3,8 +3,7 @@ Weyl connections, and the prior fields they induce."""
 
 from .models import get_model, log_density, score
 from .numerics import DiffSpec, Path, QuadratureSpec, expect, line_integral, partial
-from .tensors import (amari_chentsov, fisher_metric, inverse_metric, sqrt_det_metric,
-                      tensor_stack)
+from .tensors import amari_chentsov, fisher_metric, inverse_metric, sqrt_det_metric
 from .geometry import (
     alpha_connection,
     closedness_residual,
@@ -18,7 +17,6 @@ from .geometry import (
     weyl_compatibility_residual,
     weyl_connection,
     weyl_one_form,
-    weyl_one_form_stack,
     weyl_translate,
 )
 from .priors import (

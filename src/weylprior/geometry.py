@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosednessError, DomainError
-from .numerics import DiffSpec, Path, gradient, line_integral, segment_terms
-from .tensors import (amari_chentsov, fisher_metric, inverse_metric,
-                      metric_and_cubic, tensor_stack)
+from .numerics import DiffSpec, Path, gradient, line_integral
+from .tensors import amari_chentsov, fisher_metric, inverse_metric, metric_and_cubic
 
 # FD of connection coefficients sits on top of FD of the metric; a larger
 # step keeps the amplified roundoff of the inner differences in check.
@@ -83,17 +82,12 @@ def _phi(cub, ginv):
     return 0.5 * np.einsum("...ijk,...jk->...i", cub.C, ginv)
 
 
-def weyl_one_form_stack(model, thetas, chart=None, quad=None):
-    """phi_i = 1/2 C_ijk g^jk at every row of ``thetas`` (P, m), in one
-    stacked evaluation of the tensors; ``.at`` and ``.phi`` are (P, m)."""
-    met, cub = tensor_stack(model, thetas, chart, quad)
-    return OneFormSample(met.at, _phi(cub, inverse_metric(met)), met.chart)
-
-
 def weyl_one_form(model, theta, chart=None, quad=None):
-    """phi_i = 1/2 C_ijk g^jk, the trace 1-form of the cubic tensor."""
-    out = weyl_one_form_stack(model, np.asarray(theta, dtype=float)[None], chart, quad)
-    return OneFormSample(out.at[0], out.phi[0], out.chart)
+    """phi_i = 1/2 C_ijk g^jk, the trace 1-form of the cubic tensor, at one
+    point (m,) or at every row of a stack (P, m) in one stacked evaluation of
+    the tensors; ``.phi`` has the shape of ``theta``."""
+    met, cub = metric_and_cubic(model, theta, chart, quad)
+    return OneFormSample(met.at, _phi(cub, inverse_metric(met)), met.chart)
 
 
 def weyl_connection(model, theta, chart=None, quad=None, diff=None):
@@ -111,7 +105,8 @@ def weyl_connection(model, theta, chart=None, quad=None, diff=None):
 
 
 def one_form_field(model, chart=None, quad=None):
-    """The Weyl 1-form as a plain callable theta -> (m,) for path integrals."""
+    """The Weyl 1-form as a plain callable theta -> phi, for one point (m,) or
+    a stack (P, m), for finite differences and path integrals."""
     return lambda t: weyl_one_form(model, t, chart, quad).phi
 
 
@@ -151,8 +146,7 @@ def potential_omega(model, theta, anchor, chart=None, quad=None, steps=24,
     Straight anchor->theta path when it stays in the domain, otherwise an
     axis-aligned staircase.  Integration uses composite Gauss-Legendre so the
     potential is accurate to near machine precision for smooth 1-forms; the
-    1-form is evaluated at all nodes of the path in one stacked call, and
-    the terms are added in the order of ``line_integral(rule="gauss")``.
+    1-form is evaluated at all nodes of the path in one stacked call.
     """
     ch, dom = _domain(model, chart)
     theta = np.asarray(theta, dtype=float)
@@ -175,10 +169,9 @@ def potential_omega(model, theta, anchor, chart=None, quad=None, steps=24,
             raise ClosednessError(
                 f"Weyl 1-form is not closed (residual {res:.3e} at "
                 f"{np.asarray(mid).tolist()}); the potential is undefined")
-    path = Path(waypoints, steps=steps)
-    terms = segment_terms(lambda t: weyl_one_form_stack(model, t, chart, quad).phi,
-                          path.waypoints[:-1], path.waypoints[1:], steps)
-    return PotentialValue(theta, anchor, float(np.cumsum(terms)[-1]))
+    omega = line_integral(one_form_field(model, chart, quad),
+                          Path(waypoints, steps=steps), rule="gauss")
+    return PotentialValue(theta, anchor, omega)
 
 
 def _connection_fn(model, kind, alpha, chart, quad, diff):
@@ -272,8 +265,8 @@ def gauge_rescale_check(model, lam, path: Path, chart=None, quad=None,
     phi = one_form_field(model, chart, quad)
     val_a = np.exp(line_integral(phi, path, rule="gauss")) * base
 
-    def phi_gauged(t):
-        return phi(t) - gradient(lam, t, diff, dom)
+    def phi_gauged(ts):
+        return phi(ts) - np.array([gradient(lam, t, diff, dom) for t in ts])
 
     scale = np.exp(line_integral(phi_gauged, path, rule="gauss"))
     val_b = scale * np.exp(lam(q)) * base * np.exp(-lam(p))

@@ -46,10 +46,9 @@ class Chart:
         self._jacobian = jacobian
 
     def contains(self, theta, margin=DOMAIN_MARGIN):
+        """Whether the one point ``theta`` (m,) is interior."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,) or not np.all(np.isfinite(theta)):
-            return False
-        return bool(self._contains(theta, margin))
+        return theta.shape == (self.dim,) and bool(self.interior(theta[None], margin)[0])
 
     def interior(self, thetas, margin=DOMAIN_MARGIN):
         """Boolean (P,): which rows of the stack ``thetas`` (P, m) are interior."""
@@ -93,11 +92,6 @@ class SampleSpace:
     support_size: Optional[Callable] = None  # theta_ref (..., m) -> N (...), discrete only
     tail_bound: float = 1e-12
     max_value: Optional[float] = None    # discrete only
-
-    def support(self, theta_ref):
-        """The truncated support 0..N-1 at one reference-chart point."""
-        return np.arange(int(self.support_size(np.asarray(theta_ref, dtype=float))),
-                         dtype=float)
 
     def validate(self, x, source="observations"):
         """Raise DataError naming the first row of ``x`` outside the space."""
@@ -146,14 +140,12 @@ class ModelSpec:
         """The chart, if ``theta`` (one point, or a stack of shape (P, m)) is
         interior; otherwise DomainError naming the (first) outside point."""
         ch = self.chart(chart) if isinstance(chart, (str, type(None))) else chart
-        if np.ndim(theta) == 2:
-            inside = ch.interior(theta, margin)
-            if inside.all():
-                return ch
-            theta = np.asarray(theta)[np.argmin(inside)]
-        if not ch.contains(theta, margin):
+        theta = np.asarray(theta, dtype=float)
+        stack = theta if theta.ndim == 2 else theta[None]
+        inside = ch.interior(stack, margin)
+        if not inside.all():
             raise DomainError(
-                f"theta={np.asarray(theta, dtype=float).tolist()} is not interior "
+                f"theta={stack[np.argmin(inside)].tolist()} is not interior "
                 f"to the domain of chart {ch.name!r} of model {self.id!r}")
         return ch
 

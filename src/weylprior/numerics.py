@@ -239,50 +239,44 @@ class Path:
             yield a, b
 
 
-# nodes/weights of 5-point Gauss-Legendre on [0, 1]
+# nodes and weights on [0, 1] of one subinterval, per integration rule
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(5)
-_GL_T = 0.5 * (_GL_T + 1.0)
-_GL_W = 0.5 * _GL_W
+_RULES = {"midpoint": (np.array([0.5]), np.array([1.0])),
+          "gauss": (0.5 * (_GL_T + 1.0), 0.5 * _GL_W)}
+
+
+def _segment_terms(omega, starts, ends, steps, rule):
+    """Quadrature terms of the integrals of ``omega`` over the straight
+    segments ``starts[s] -> ends[s]`` (both (S, m)): row s holds segment s's
+    terms in path order.  ``omega`` is called once, on all nodes."""
+    try:
+        t, w = _RULES[rule]
+    except KeyError:
+        raise ValueError(f"unknown integration rule {rule!r}") from None
+    starts = np.asarray(starts, dtype=float)
+    span = np.asarray(ends, dtype=float) - starts
+    frac = ((np.arange(steps)[:, None] + t) / steps).reshape(-1)
+    nodes = starts[:, None, :] + frac[:, None] * span[:, None, :]
+    phi = np.asarray(omega(nodes.reshape(-1, starts.shape[1]))).reshape(nodes.shape)
+    return np.tile(w, steps) * np.einsum("sni,si->sn", phi, span / steps)
 
 
 def line_integral(omega, path: Path, rule="midpoint"):
-    """Integral of the 1-form ``omega`` (theta -> m-vector) along ``path``.
+    """Integral of the 1-form ``omega`` along ``path``.
 
-    "midpoint": composite midpoint, second order in 1/steps (the default
-    contract).  "gauss": composite 5-point Gauss-Legendre per subinterval,
-    used where near-machine accuracy is required.
+    ``omega`` maps a stack of points (K, m) to covectors (K, m); it is called
+    once, on the nodes of the whole path.  "midpoint": composite midpoint,
+    second order in 1/steps (the default contract).  "gauss": composite
+    5-point Gauss-Legendre per subinterval, used where near-machine accuracy
+    is required.  The terms are added one by one in path order.
     """
-    total = 0.0
-    for a, b in path.segments():
-        delta = (b - a) / path.steps
-        if rule == "midpoint":
-            ts = (np.arange(path.steps) + 0.5) / path.steps
-            for t in ts:
-                total += float(np.dot(np.asarray(omega(a + t * (b - a))), delta))
-        elif rule == "gauss":
-            for k in range(path.steps):
-                for t, w in zip(_GL_T, _GL_W):
-                    point = a + ((k + t) / path.steps) * (b - a)
-                    total += w * float(np.dot(np.asarray(omega(point)), delta))
-        else:
-            raise ValueError(f"unknown integration rule {rule!r}")
-    return total
+    terms = _segment_terms(omega, path.waypoints[:-1], path.waypoints[1:],
+                           path.steps, rule)
+    return float(np.cumsum(terms)[-1])
 
 
-def segment_terms(omega_stack, starts, ends, steps):
-    """Terms of the composite 5-point Gauss-Legendre rule for the integrals of
-    a 1-form over the straight segments ``starts[s] -> ends[s]`` (both (S, m)).
-
-    ``omega_stack`` maps a stack of points (K, m) to covectors (K, m) and is
-    called once, on all S * 5 * steps nodes.  Row s holds the terms of
-    segment s in the order ``line_integral(rule="gauss")`` adds them, so a
-    running sum (``np.cumsum``) along the row reproduces its accumulation.
-    """
-    starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    span = ends - starts
-    frac = ((np.arange(steps)[:, None] + _GL_T) / steps).reshape(-1)
-    nodes = starts[:, None, :] + frac[:, None] * span[:, None, :]
-    phi = np.asarray(omega_stack(nodes.reshape(-1, starts.shape[1])))
-    phi = phi.reshape(nodes.shape)
-    return np.tile(_GL_W, steps) * np.einsum("sni,si->sn", phi, span / steps)
+def segment_integrals(omega, starts, ends, steps, rule="gauss"):
+    """Integrals (S,) of ``omega`` over each straight segment
+    ``starts[s] -> ends[s]``, each by the rule of ``line_integral`` with
+    ``steps`` subintervals; ``omega`` is called once, on all nodes."""
+    return np.cumsum(_segment_terms(omega, starts, ends, steps, rule), axis=1)[:, -1]

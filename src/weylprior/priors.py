@@ -12,10 +12,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ClosednessError, GridError
-from .geometry import (closedness_residual, potential_omega,
-                       weyl_one_form_stack, CLOSEDNESS_TOL)
+from .geometry import (closedness_residual, one_form_field, potential_omega,
+                       CLOSEDNESS_TOL)
 from .models import ModelSpec
-from .numerics import segment_terms
+from .numerics import segment_integrals
 from .tensors import fisher_metric, sqrt_det_metric
 
 # Gauss-Legendre steps on each grid edge of the Omega sweep; 2 steps lose
@@ -167,13 +167,11 @@ def _grid_omega(model, grid: GridSpec, anchor, quad):
     idx = np.array(np.unravel_index(n, shape)).T
     last = len(shape) - 1 - np.argmax(idx[:, ::-1] != 0, axis=1)
     strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-    terms = segment_terms(
-        lambda t: weyl_one_form_stack(model, t, grid.chart, quad).phi,
-        pts[n - strides[last]], pts[n], EDGE_STEPS)
     omega = np.empty(len(pts))
     omega[0] = potential_omega(model, pts[0], anchor, grid.chart, quad,
                                check_closedness=False).omega
-    omega[1:] = np.cumsum(terms, axis=1)[:, -1]
+    omega[1:] = segment_integrals(one_form_field(model, grid.chart, quad),
+                                  pts[n - strides[last]], pts[n], EDGE_STEPS)
     # point n's value is its predecessor's plus its edge: running sums along
     # axis k over the points whose later indices are all zero
     omega = omega.reshape(shape)

@@ -1,28 +1,26 @@
 """Fisher metric and cubic (Amari-Chentsov) tensor over stacks of points.
 
-Both are quadrature expectations of products of score components.  They are
-evaluated on a leading point axis: ``tensor_stack`` takes points (P, m),
-splits them into chunks whose largest temporary stays under CHUNK_BYTES,
-and for each chunk builds sample nodes, scores and both contractions in a
-few NumPy calls.  The kernels return exactly symmetric arrays, which are
+Both are quadrature expectations of products of score components.  Every
+public function takes one point (m,) or a stack of points (P, m), splits a
+stack into chunks whose largest temporary stays under CHUNK_BYTES, and for
+each chunk builds sample nodes, scores and both contractions in a few NumPy
+calls.  The kernels return exactly symmetric arrays, which are
 checked here (metric finite and positive-definite, cubic tensor finite);
 a failed check names the offending point.  The Cholesky factor of the SPD
 check is kept, and g^-1 and sqrt(det g) are taken from it.  Chart-native
 tensors are obtained by pushing the reference-chart scores through the
 chart Jacobian before contraction, so no separate transformation step is
-needed.  ``fisher_metric``, ``amari_chentsov`` and ``metric_and_cubic`` are
-one-row calls of ``tensor_stack``.
+needed.  A single point is evaluated as a one-row stack, so its values are
+bitwise those it gets in any stack.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import kernels
 from .errors import NotSPDError
-from .models import ModelSpec
-from .numerics import QuadratureSpec, default_quadrature, nodes_per_point, sample_nodes
+from .numerics import default_quadrature, nodes_per_point, sample_nodes
 
 # bound on one chunk's score-product footprint, q * m * m doubles per point
 CHUNK_BYTES = 1 << 19
@@ -35,7 +33,7 @@ class MetricTensor:
     at: np.ndarray
     g: np.ndarray
     chart: str
-    chol: Optional[np.ndarray] = None   # lower Cholesky factor, from the SPD check
+    chol: np.ndarray        # lower Cholesky factor, from the SPD check
 
 
 @dataclass(frozen=True)
@@ -124,71 +122,45 @@ def _evaluate(model, ch, thetas, quad, metric, cubic):
     return g, chol, c
 
 
-def tensor_stack(model: ModelSpec, thetas, chart=None,
-                 quad: QuadratureSpec = None, metric=True, cubic=True):
-    """Checked metric and cubic tensor at every row of ``thetas`` (P, m).
-
-    Returns ``(MetricTensor, CubicTensor)`` with stacked arrays; the one not
-    asked for (``metric=False`` or ``cubic=False``) is None.  Points are
-    evaluated in chunks; a point's values do not depend on the chunk.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    ch = model.require_interior(thetas, chart)
-    g, chol, c = _evaluate(model, ch, thetas, quad, metric, cubic)
-    return (MetricTensor(thetas, g, ch.name, chol) if metric else None,
-            CubicTensor(thetas, c, ch.name) if cubic else None)
-
-
-def _one_point(model, theta, chart, quad, metric, cubic):
+def _tensors(model, theta, chart, quad, metric=True, cubic=True):
+    """(MetricTensor, CubicTensor) at one point (m,) or a stack (P, m); the
+    one not asked for is None."""
     at = np.asarray(theta, dtype=float)
     ch = model.require_interior(at, chart)
-    g, chol, c = _evaluate(model, ch, at[None], quad, metric, cubic)
-    return (MetricTensor(at, g[0], ch.name, chol[0]) if metric else None,
-            CubicTensor(at, c[0], ch.name) if cubic else None)
+    g, chol, c = _evaluate(model, ch, at if at.ndim == 2 else at[None], quad,
+                           metric, cubic)
+    if at.ndim == 1:
+        g, chol, c = (None if a is None else a[0] for a in (g, chol, c))
+    return (MetricTensor(at, g, ch.name, chol) if metric else None,
+            CubicTensor(at, c, ch.name) if cubic else None)
 
 
 def fisher_metric(model, theta, chart=None, quad=None):
     """g_ij = E[ (d_i l)(d_j l) ], SPD-checked."""
-    return _one_point(model, theta, chart, quad, True, False)[0]
+    return _tensors(model, theta, chart, quad, cubic=False)[0]
 
 
 def amari_chentsov(model, theta, chart=None, quad=None):
     """C_ijk = E[ (d_i l)(d_j l)(d_k l) ], checked to be finite."""
-    return _one_point(model, theta, chart, quad, False, True)[1]
+    return _tensors(model, theta, chart, quad, metric=False)[1]
 
 
 def metric_and_cubic(model, theta, chart=None, quad=None):
     """Metric and cubic tensor from one shared set of quadrature nodes, checked
     as in ``fisher_metric`` and ``amari_chentsov``."""
-    return _one_point(model, theta, chart, quad, True, True)
-
-
-def _cholesky(metric: MetricTensor):
-    if metric.chol is not None:
-        return metric.chol
-    try:
-        return np.linalg.cholesky(metric.g)
-    except np.linalg.LinAlgError:
-        raise NotSPDError("metric is not SPD") from None
+    return _tensors(model, theta, chart, quad)
 
 
 def inverse_metric(metric: MetricTensor):
     """g^{-1} = L^{-T} L^{-1} from the Cholesky factor L, exactly symmetric;
     works on one metric or a stack."""
-    L = _cholesky(metric)
-    m = L.shape[-1]
-    # forward substitution, row by row: L^{-1} is lower triangular
-    x = np.zeros_like(L)
-    for i in range(m):
-        x[..., i, i] = 1.0 / L[..., i, i]
-        if i:
-            x[..., i, :i] = -(L[..., i, None, :i] @ x[..., :i, :i])[..., 0, :] * x[..., i, i, None]
-    inv = np.swapaxes(x, -1, -2) @ x
+    inv_l = np.linalg.inv(metric.chol)
+    inv = np.swapaxes(inv_l, -1, -2) @ inv_l
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def sqrt_det_metric(metric: MetricTensor):
     """sqrt(det g) as the product of the Cholesky diagonal (stable for small
     determinants); a float for one metric, an array (P,) for a stack."""
-    d = _cholesky(metric).diagonal(axis1=-2, axis2=-1).prod(axis=-1)
+    d = metric.chol.diagonal(axis1=-2, axis2=-1).prod(axis=-1)
     return float(d) if np.ndim(d) == 0 else d

@@ -118,13 +118,13 @@ class TestPathIntegrals:
 
     def test_exact_form(self):
         # omega = d(x y): integral depends only on endpoints
-        omega = lambda t: np.array([t[1], t[0]])
+        omega = lambda t: t[:, ::-1]
         p = Path([[0.0, 0.0], [2.0, 0.5], [1.0, 3.0]])
         assert line_integral(omega, p) == pytest.approx(3.0, abs=1e-6)
         assert line_integral(omega, p, rule="gauss") == pytest.approx(3.0, abs=1e-12)
 
     def test_midpoint_second_order(self):
-        omega = lambda t: np.array([np.sin(t[0])])
+        omega = np.sin
         exact = 1.0 - np.cos(2.0)
         errs = [abs(line_integral(omega, Path([[0.0], [2.0]], steps=n)) - exact)
                 for n in (8, 16, 32)]
@@ -132,9 +132,22 @@ class TestPathIntegrals:
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
 
     def test_gauss_near_machine(self):
-        omega = lambda t: np.array([np.exp(t[0])])
+        omega = np.exp
         val = line_integral(omega, Path([[0.0], [1.0]], steps=4), rule="gauss")
         assert val == pytest.approx(np.e - 1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("rule,per_step", [("midpoint", 1), ("gauss", 5)])
+    def test_one_call_on_all_nodes(self, rule, per_step):
+        # the 1-form is evaluated once, on the nodes of every segment
+        shapes = []
+
+        def omega(t):
+            shapes.append(t.shape)
+            return t[:, ::-1]
+
+        p = Path([[0.0, 0.0], [2.0, 0.5], [1.0, 3.0]], steps=7)
+        line_integral(omega, p, rule=rule)
+        assert shapes == [(2 * 7 * per_step, 2)]
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):

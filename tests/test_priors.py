@@ -15,7 +15,7 @@ from weylprior import (
     theorem_ratio_check,
     weyl_prior_field,
 )
-from weylprior import geometry, priors
+from weylprior import geometry
 from weylprior.errors import GridError
 from weylprior.numerics import QuadratureSpec
 from weylprior.priors import read_csv, reparam_transform, write_csv
@@ -106,14 +106,13 @@ def count_one_forms(monkeypatch):
     """Record the number of points of every stacked 1-form evaluation; one-point
     calls (closedness probe) are one-row stacks and are recorded too."""
     calls = []
-    inner = geometry.weyl_one_form_stack
+    inner = geometry.weyl_one_form
 
     def counted(model, thetas, *args, **kwargs):
-        calls.append(len(thetas))
+        calls.append(len(np.atleast_2d(thetas)))
         return inner(model, thetas, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "weyl_one_form_stack", counted)
-    monkeypatch.setattr(priors, "weyl_one_form_stack", counted)
+    monkeypatch.setattr(geometry, "weyl_one_form", counted)
     return calls
 
 

@@ -6,10 +6,9 @@ import pytest
 from weylprior import (QuadratureSpec, amari_chentsov, fisher_metric, kernels,
                        weyl_one_form)
 from weylprior.errors import DomainError, NotSPDError
-from weylprior.geometry import weyl_one_form_stack
 from weylprior.numerics import sample_nodes
 from weylprior.tensors import (CHUNK_BYTES, inverse_metric, metric_and_cubic,
-                               sqrt_det_metric, tensor_stack)
+                               sqrt_det_metric)
 
 from conftest import vech_theta
 
@@ -179,8 +178,8 @@ class TestStackIndependence:
         from weylprior import get_model
         model = get_model(model_id)
         pts = stack_points(model_id, chart)
-        met, cub = tensor_stack(model, pts, chart)
-        phi = weyl_one_form_stack(model, pts, chart).phi
+        met, cub = metric_and_cubic(model, pts, chart)
+        phi = weyl_one_form(model, pts, chart).phi
         root = sqrt_det_metric(met)
         assert met.g.shape == (len(pts), model.dim, model.dim)
         for k, t in enumerate(pts):
@@ -215,9 +214,9 @@ class TestStackErrors:
     def test_outside_point_is_named(self, g1):
         pts = [[0.0, 1.0], [0.5, 2.0], [0.25, -1.0], [0.0, 3.0]]
         with pytest.raises(DomainError, match=r"theta=\[0\.25, -1\.0\] is not interior"):
-            tensor_stack(g1, pts)
+            metric_and_cubic(g1, pts)
         with pytest.raises(DomainError, match=r"theta=\[0\.25, -1\.0\]"):
-            weyl_one_form_stack(g1, pts)
+            weyl_one_form(g1, pts)
 
     def test_non_finite_metric_names_its_point(self, g1, monkeypatch):
         def nan_second_row(w, s):
@@ -228,7 +227,7 @@ class TestStackErrors:
         monkeypatch.setattr(kernels, "pair_contract_stack", nan_second_row)
         with pytest.raises(NotSPDError, match=r"non-finite Fisher metric at "
                                               r"theta=\[0\.5, 2\.0\]"):
-            tensor_stack(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
+            metric_and_cubic(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
 
     def test_not_spd_names_its_point(self, g1, monkeypatch):
         def indefinite_last_row(w, s):
@@ -239,4 +238,4 @@ class TestStackErrors:
         monkeypatch.setattr(kernels, "pair_contract_stack", indefinite_last_row)
         with pytest.raises(NotSPDError, match=r"not positive-definite at "
                                               r"theta=\[0\.0, 3\.0\]"):
-            tensor_stack(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
+            metric_and_cubic(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
