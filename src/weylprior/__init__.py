@@ -2,7 +2,7 @@
 Weyl connections, and the prior fields they induce."""
 
 from .models import get_model, log_density, score
-from .numerics import DiffSpec, Path, QuadratureSpec, expect, line_integral, partial
+from .numerics import DiffSpec, Path, QuadratureSpec, expect, gradient, line_integral
 from .tensors import amari_chentsov, fisher_metric, inverse_metric, sqrt_det_metric
 from .geometry import (
     alpha_connection,

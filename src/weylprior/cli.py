@@ -108,7 +108,7 @@ def _gauge_endpoint(model, theta, chart):
     ch = model.chart(chart)
     for scale in (0.25, -0.25, 0.1, -0.1, 0.05, -0.05):
         q = theta + scale * (np.abs(theta) + 1.0)
-        if ch.contains(q) and geometry._path_in_domain([theta, q], ch.contains):
+        if geometry._path_in_domain([theta, q], ch.interior):
             return q
     raise WeylPriorError("could not find an in-domain gauge-check path endpoint")
 
@@ -136,7 +136,7 @@ def run_check(model, what, theta, alpha=1.0, chart=None, quad=None, diff=None,
     elif what == "gauge":
         q = _gauge_endpoint(model, theta, chart)
         path = Path([theta, q], steps=path_steps)
-        res = geometry.gauge_rescale_check(model, lambda t: float(t[0]), path,
+        res = geometry.gauge_rescale_check(model, lambda t: t[..., 0], path,
                                            chart, quad, diff)
     else:
         raise WeylPriorError(f"unknown check {what!r}")

@@ -1,9 +1,11 @@
 """Connections, the Weyl 1-form and its potential, and identity residuals.
 
-Levi-Civita coefficients are assembled from finite differences of the
-quadrature metric; alpha and Weyl connections add their algebraic
-corrections.  Residual functions return the full arrays so callers can
-report max-norms against their tolerances.
+Every connection and residual comes from one stacked evaluation at a point
+(or a stack of points) and its finite-difference stencil: g, C, g^-1 and
+phi from one tensor call at the points, and d g from one metric call on all
+stencil points, which gives the Levi-Civita coefficients.  Alpha and Weyl
+connections add their algebraic corrections.  Residual functions return the
+full arrays so callers can report max-norms against their tolerances.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ import numpy as np
 
 from .errors import ClosednessError, DomainError
 from .numerics import DiffSpec, Path, gradient, line_integral
-from .tensors import amari_chentsov, fisher_metric, inverse_metric, metric_and_cubic
+from .tensors import fisher_metric, inverse_metric, metric_and_cubic
 
 # FD of connection coefficients sits on top of FD of the metric; a larger
 # step keeps the amplified roundoff of the inner differences in check.
@@ -24,7 +26,7 @@ CLOSEDNESS_TOL = 1e-6
 @dataclass(frozen=True)
 class ConnectionCoefficients:
     at: np.ndarray
-    gamma: np.ndarray          # gamma[i, j, k] = Gamma^i_{jk}
+    gamma: np.ndarray          # gamma[..., i, j, k] = Gamma^i_{jk}
     kind: str                  # "levi_civita" | "alpha(a)" | "weyl"
     chart: str
 
@@ -43,43 +45,77 @@ class PotentialValue:
     omega: float
 
 
-def _domain(model, chart=None):
-    ch = model.chart(chart)
-    return ch, (lambda t: ch.contains(t))
+@dataclass(frozen=True)
+class _Bundle:
+    """The tensors every connection and residual is built from, at one point
+    (m,) or a stack (P, m); arrays carry the point axis first."""
 
-
-def metric_array(model, theta, chart=None, quad=None):
-    return fisher_metric(model, theta, chart, quad).g
-
-
-def metric_derivatives(model, theta, chart=None, quad=None, diff=None):
-    """dg[k, i, j] = d_k g_ij by central differences of the quadrature metric."""
-    ch, dom = _domain(model, chart)
-    return gradient(lambda t: metric_array(model, t, chart, quad), theta,
-                    diff, dom)
-
-
-def levi_civita(model, theta, chart=None, quad=None, diff=None):
-    """Metric connection: Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk)."""
-    met = fisher_metric(model, theta, chart, quad)
-    ginv = inverse_metric(met)
-    dg = metric_derivatives(model, theta, chart, quad, diff)
-    a = (np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (2, 1, 0)) - dg)
-    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, a)
-    gamma = 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
-    return ConnectionCoefficients(met.at, gamma, "levi_civita", met.chart)
-
-
-def alpha_connection(model, theta, alpha, chart=None, quad=None, diff=None):
-    """Gamma^i_jk = LC - (alpha/2) g^il C_ljk."""
-    lc = levi_civita(model, theta, chart, quad, diff)
-    met, cub = metric_and_cubic(model, theta, chart, quad)
-    gamma = lc.gamma - 0.5 * alpha * np.einsum("il,ljk->ijk", inverse_metric(met), cub.C)
-    return ConnectionCoefficients(lc.at, gamma, f"alpha({alpha})", lc.chart)
+    at: np.ndarray
+    chart: str
+    g: np.ndarray
+    ginv: np.ndarray
+    C: np.ndarray
+    phi: np.ndarray
+    dg: np.ndarray             # dg[..., k, i, j] = d_k g_ij
+    lc: np.ndarray             # Levi-Civita Gamma^i_jk
 
 
 def _phi(cub, ginv):
     return 0.5 * np.einsum("...ijk,...jk->...i", cub.C, ginv)
+
+
+def _bundle(model, theta, chart, quad, diff):
+    """g, g^-1, C, phi, d g (central differences of the quadrature metric) and
+    the Levi-Civita coefficients
+    Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk),
+    from one tensor call at the points and one metric call on their stencil."""
+    met, cub = metric_and_cubic(model, theta, chart, quad)
+    ginv = inverse_metric(met)
+    dg = gradient(lambda t: fisher_metric(model, t, chart, quad).g, met.at,
+                  diff, model.chart(chart).interior)
+    a = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
+    lc = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, a)
+    lc = 0.5 * (lc + np.swapaxes(lc, -1, -2))
+    return _Bundle(met.at, met.chart, met.g, ginv, cub.C, _phi(cub, ginv), dg, lc)
+
+
+def _gamma(b, kind, alpha=None):
+    """Coefficients of the connection ``kind`` from the bundle ``b``:
+    alpha: LC - (alpha/2) g^il C_ljk;
+    weyl: LC + 1/2 (delta^i_j phi_k + delta^i_k phi_j - g^im g_jk phi_m)."""
+    if kind == "levi_civita":
+        return b.lc
+    if kind == "alpha":
+        return b.lc - 0.5 * alpha * np.einsum("...il,...ljk->...ijk", b.ginv, b.C)
+    if kind == "weyl":
+        eye = np.eye(b.g.shape[-1])
+        return b.lc + 0.5 * (np.einsum("ij,...k->...ijk", eye, b.phi)
+                             + np.einsum("ik,...j->...ijk", eye, b.phi)
+                             - np.einsum("...im,...m,...jk->...ijk",
+                                         b.ginv, b.phi, b.g))
+    raise ValueError(f"unknown connection kind {kind!r}")
+
+
+def _connection(model, theta, kind, alpha, chart, quad, diff):
+    b = _bundle(model, theta, chart, quad, diff)
+    label = f"alpha({alpha})" if kind == "alpha" else kind
+    return ConnectionCoefficients(b.at, _gamma(b, kind, alpha), label, b.chart)
+
+
+def levi_civita(model, theta, chart=None, quad=None, diff=None):
+    """Metric connection at one point (m,) or a stack (P, m), like the tensors."""
+    return _connection(model, theta, "levi_civita", None, chart, quad, diff)
+
+
+def alpha_connection(model, theta, alpha, chart=None, quad=None, diff=None):
+    """Gamma^i_jk = LC - (alpha/2) g^il C_ljk, at one point or a stack."""
+    return _connection(model, theta, "alpha", alpha, chart, quad, diff)
+
+
+def weyl_connection(model, theta, chart=None, quad=None, diff=None):
+    """LC plus 1/2 (delta^i_j phi_k + delta^i_k phi_j - g^im g_jk phi_m), at
+    one point or a stack."""
+    return _connection(model, theta, "weyl", None, chart, quad, diff)
 
 
 def weyl_one_form(model, theta, chart=None, quad=None):
@@ -90,20 +126,6 @@ def weyl_one_form(model, theta, chart=None, quad=None):
     return OneFormSample(met.at, _phi(cub, inverse_metric(met)), met.chart)
 
 
-def weyl_connection(model, theta, chart=None, quad=None, diff=None):
-    """LC plus 1/2 (delta^i_j phi_k + delta^i_k phi_j - g^im g_jk phi_m)."""
-    lc = levi_civita(model, theta, chart, quad, diff)
-    met, cub = metric_and_cubic(model, theta, chart, quad)
-    ginv = inverse_metric(met)
-    phi = _phi(cub, ginv)
-    m = model.dim
-    eye = np.eye(m)
-    corr = 0.5 * (np.einsum("ij,k->ijk", eye, phi)
-                  + np.einsum("ik,j->ijk", eye, phi)
-                  - np.einsum("im,m,jk->ijk", ginv, phi, met.g))
-    return ConnectionCoefficients(lc.at, lc.gamma + corr, "weyl", lc.chart)
-
-
 def one_form_field(model, chart=None, quad=None):
     """The Weyl 1-form as a plain callable theta -> phi, for one point (m,) or
     a stack (P, m), for finite differences and path integrals."""
@@ -112,9 +134,9 @@ def one_form_field(model, chart=None, quad=None):
 
 def closedness_residual(model, theta, chart=None, quad=None, diff=None):
     """R_ij = d_i phi_j - d_j phi_i; zero iff phi is closed at theta."""
-    ch, dom = _domain(model, chart)
-    dphi = gradient(one_form_field(model, chart, quad), theta, diff, dom)
-    return dphi - dphi.T
+    dphi = gradient(one_form_field(model, chart, quad), theta, diff,
+                    model.chart(chart).interior)
+    return dphi - np.swapaxes(dphi, -1, -2)
 
 
 def _staircase(anchor, theta):
@@ -131,12 +153,14 @@ def _staircase(anchor, theta):
     return pts
 
 
-def _path_in_domain(waypoints, dom, probes=65):
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        for t in np.linspace(0.0, 1.0, probes):
-            if not dom(a + t * (b - a)):
-                return False
-    return True
+def _path_in_domain(waypoints, interior, probes=65):
+    """Whether ``probes`` evenly spaced points on every segment of the
+    polyline lie in the domain, tested in one call of the stacked predicate
+    ``interior`` (such as ``Chart.interior``)."""
+    a = np.asarray(waypoints[:-1], dtype=float)
+    span = np.asarray(waypoints[1:], dtype=float) - a
+    t = np.linspace(0.0, 1.0, probes)[:, None, None]
+    return bool(interior((a + t * span).reshape(-1, a.shape[1])).all())
 
 
 def potential_omega(model, theta, anchor, chart=None, quad=None, steps=24,
@@ -148,21 +172,21 @@ def potential_omega(model, theta, anchor, chart=None, quad=None, steps=24,
     potential is accurate to near machine precision for smooth 1-forms; the
     1-form is evaluated at all nodes of the path in one stacked call.
     """
-    ch, dom = _domain(model, chart)
+    ch = model.chart(chart)
     theta = np.asarray(theta, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     if np.array_equal(theta, anchor):
         return PotentialValue(theta, anchor, 0.0)
     waypoints = [anchor, theta]
-    if not _path_in_domain(waypoints, dom):
+    if not _path_in_domain(waypoints, ch.interior):
         waypoints = _staircase(anchor, theta)
-        if not _path_in_domain(waypoints, dom):
+        if not _path_in_domain(waypoints, ch.interior):
             raise DomainError(
                 f"no in-domain path from anchor {anchor.tolist()} to "
                 f"theta {theta.tolist()} in chart {ch.name!r}")
     if check_closedness:
         mid = 0.5 * (anchor + theta)
-        if not dom(mid):
+        if not ch.contains(mid):
             mid = waypoints[min(1, len(waypoints) - 1)]
         res = np.max(np.abs(closedness_residual(model, mid, chart, quad)))
         if res > CLOSEDNESS_TOL:
@@ -170,104 +194,85 @@ def potential_omega(model, theta, anchor, chart=None, quad=None, steps=24,
                 f"Weyl 1-form is not closed (residual {res:.3e} at "
                 f"{np.asarray(mid).tolist()}); the potential is undefined")
     omega = line_integral(one_form_field(model, chart, quad),
-                          Path(waypoints, steps=steps), rule="gauss")
+                          Path(waypoints, steps=steps))
     return PotentialValue(theta, anchor, omega)
 
 
-def _connection_fn(model, kind, alpha, chart, quad, diff):
-    if kind == "levi_civita":
-        return lambda t: levi_civita(model, t, chart, quad, diff).gamma
-    if kind == "alpha":
-        return lambda t: alpha_connection(model, t, alpha, chart, quad, diff).gamma
-    if kind == "weyl":
-        return lambda t: weyl_connection(model, t, chart, quad, diff).gamma
-    raise ValueError(f"unknown connection kind {kind!r}")
-
-
 def ricci_tensor(model, theta, kind="levi_civita", alpha=None, chart=None,
-                 quad=None, diff=None, gamma_diff=GAMMA_DIFF):
-    """Ric_jk = d_i G^i_jk - d_j G^i_ik + G^i_ip G^p_jk - G^i_jp G^p_ik."""
-    ch, dom = _domain(model, chart)
-    gfn = _connection_fn(model, kind, alpha, chart, quad, diff)
-    g0 = gfn(np.asarray(theta, dtype=float))
-    dg = gradient(gfn, theta, gamma_diff, dom)   # dg[a, i, j, k]
-    return (np.einsum("iijk->jk", dg)
-            - np.einsum("jiik->jk", dg)
-            + np.einsum("iip,pjk->jk", g0, g0)
-            - np.einsum("ijp,pik->jk", g0, g0))
+                 quad=None, diff=None):
+    """Ric_jk = d_i G^i_jk - d_j G^i_ik + G^i_ip G^p_jk - G^i_jp G^p_ik for the
+    connection ``kind`` ("levi_civita", "alpha" or "weyl"); d G is one
+    central-difference level over the bundle at all stencil points."""
+    def gamma(t):
+        return _gamma(_bundle(model, t, chart, quad, diff), kind, alpha)
+
+    g0 = gamma(theta)
+    dg = gradient(gamma, theta, GAMMA_DIFF, model.chart(chart).interior)
+    return (np.einsum("...iijk->...jk", dg)
+            - np.einsum("...jiik->...jk", dg)
+            + np.einsum("...iip,...pjk->...jk", g0, g0)
+            - np.einsum("...ijp,...pik->...jk", g0, g0))
+
+
+def _nabla_g(b, gamma, gamma_dual):
+    """d_k g_ij - Gamma^l_ki g_lj - Gamma*^l_kj g_il."""
+    return (b.dg - np.einsum("...lki,...lj->...kij", gamma, b.g)
+            - np.einsum("...lkj,...il->...kij", gamma_dual, b.g))
 
 
 def duality_residual(model, theta, alpha, chart=None, quad=None, diff=None):
     """D_kij = d_k g_ij - (aG^l_ki g_lj + (-a)G^l_kj g_il); zero iff dual pair."""
-    g = metric_array(model, theta, chart, quad)
-    dg = metric_derivatives(model, theta, chart, quad, diff)
-    gp = alpha_connection(model, theta, alpha, chart, quad, diff).gamma
-    gm = alpha_connection(model, theta, -alpha, chart, quad, diff).gamma
-    return (dg - np.einsum("lki,lj->kij", gp, g)
-            - np.einsum("lkj,il->kij", gm, g))
+    b = _bundle(model, theta, chart, quad, diff)
+    return _nabla_g(b, _gamma(b, "alpha", alpha), _gamma(b, "alpha", -alpha))
 
 
 def nabla_g_identity_residual(model, theta, alpha, chart=None, quad=None,
                               diff=None):
     """(nabla^a g)_kij - a C_kij; zero under the alpha-connection convention."""
-    g = metric_array(model, theta, chart, quad)
-    dg = metric_derivatives(model, theta, chart, quad, diff)
-    ga = alpha_connection(model, theta, alpha, chart, quad, diff).gamma
-    c = amari_chentsov(model, theta, chart, quad).C
-    nabla_g = (dg - np.einsum("lki,lj->kij", ga, g)
-               - np.einsum("lkj,il->kij", ga, g))
-    return nabla_g - alpha * c
+    b = _bundle(model, theta, chart, quad, diff)
+    ga = _gamma(b, "alpha", alpha)
+    return _nabla_g(b, ga, ga) - alpha * b.C
 
 
 def weyl_compatibility_residual(model, theta, chart=None, quad=None, diff=None):
     """(nabla^W g)_kij + phi_k g_ij; zero for the Weyl connection."""
-    g = metric_array(model, theta, chart, quad)
-    dg = metric_derivatives(model, theta, chart, quad, diff)
-    gw = weyl_connection(model, theta, chart, quad, diff).gamma
-    phi = weyl_one_form(model, theta, chart, quad).phi
-    return (dg - np.einsum("lki,lj->kij", gw, g)
-            - np.einsum("lkj,il->kij", gw, g)
-            + np.einsum("k,ij->kij", phi, g))
+    b = _bundle(model, theta, chart, quad, diff)
+    gw = _gamma(b, "weyl")
+    return _nabla_g(b, gw, gw) + np.einsum("...k,...ij->...kij", b.phi, b.g)
 
 
 def trace_identity_residual(model, theta, chart=None, quad=None, diff=None):
     """| tr W-connection - tr Levi-Civita - (m/2) phi | per lower index."""
-    lc = levi_civita(model, theta, chart, quad, diff).gamma
-    wc = weyl_connection(model, theta, chart, quad, diff).gamma
-    phi = weyl_one_form(model, theta, chart, quad).phi
-    m = model.dim
-    return (np.einsum("iji->j", wc) - np.einsum("iji->j", lc)
-            - 0.5 * m * phi)
+    b = _bundle(model, theta, chart, quad, diff)
+    return (np.einsum("...iji->...j", _gamma(b, "weyl"))
+            - np.einsum("...iji->...j", b.lc) - 0.5 * model.dim * b.phi)
 
 
-def weyl_translate(model, path: Path, chart=None, quad=None, rule="midpoint"):
+def weyl_translate(model, path: Path, chart=None, quad=None):
     """Scale factor exp(int phi) carrying a scalar product along the path."""
-    return float(np.exp(line_integral(one_form_field(model, chart, quad),
-                                      path, rule=rule)))
+    return float(np.exp(line_integral(one_form_field(model, chart, quad), path)))
 
 
 def gauge_rescale_check(model, lam, path: Path, chart=None, quad=None,
-                        diff=None, v=None):
+                        diff=None):
     """Relative mismatch of the Weyl translation computed in two gauges.
 
     Branch A uses (g, phi); branch B uses (e^lam g, phi - d lam), mapped back
     to the same initial scalar product.  The Weyl structure axiom makes the
-    two translated products equal.
+    two translated products equal.  ``lam`` maps a stack of points (K, m) to
+    values (K,) and one point (m,) to a scalar, e.g. ``lambda t: t[..., 0]``;
+    d lam is taken at all path nodes in one ``gradient`` call.
     """
-    ch, dom = _domain(model, chart)
     p = path.waypoints[0]
     q = path.waypoints[-1]
-    m = model.dim
-    if v is None:
-        v = np.ones(m)
-    gq = metric_array(model, q, chart, quad)
-    base = float(v @ gq @ v)
+    v = np.ones(model.dim)
+    base = float(v @ fisher_metric(model, q, chart, quad).g @ v)
     phi = one_form_field(model, chart, quad)
-    val_a = np.exp(line_integral(phi, path, rule="gauss")) * base
+    val_a = np.exp(line_integral(phi, path)) * base
 
     def phi_gauged(ts):
-        return phi(ts) - np.array([gradient(lam, t, diff, dom) for t in ts])
+        return phi(ts) - gradient(lam, ts, diff, model.chart(chart).interior)
 
-    scale = np.exp(line_integral(phi_gauged, path, rule="gauss"))
+    scale = np.exp(line_integral(phi_gauged, path))
     val_b = scale * np.exp(lam(q)) * base * np.exp(-lam(p))
     return abs(val_a - val_b) / max(abs(val_a), np.finfo(float).tiny)

@@ -122,7 +122,7 @@ class ModelSpec:
     charts: dict
     reference: str
     log_density: Callable           # (x, theta_ref) -> (q,)
-    analytic_score: Optional[Callable] = None  # (x, theta_ref) -> (q, m)
+    analytic_score: Callable        # (x, theta_ref) -> (q, m)
     standardize: Optional[Callable] = None     # theta_ref -> (mean (d,), chol (d, d))
     log_partition: dict = field(default_factory=dict)  # chart name -> callable
 
@@ -150,25 +150,8 @@ class ModelSpec:
         return ch
 
     def score_ref(self, x, theta_ref):
-        """Score in the reference chart; analytic when available, else central FD."""
-        if self.analytic_score is not None:
-            return np.asarray(self.analytic_score(x, theta_ref), dtype=float)
-        return _fd_score(self, x, theta_ref)
-
-
-def _fd_score(model, x, theta_ref, rel_step=1e-5):
-    theta_ref = np.asarray(theta_ref, dtype=float)
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(model.dim):
-        h = rel_step * (np.abs(theta_ref[..., i]) + 1.0)
-        tp = theta_ref.copy()
-        tm = theta_ref.copy()
-        tp[..., i] += h
-        tm[..., i] -= h
-        cols.append((model.log_density(x, tp) - model.log_density(x, tm))
-                    / (2.0 * h[..., None]))
-    return np.stack(cols, axis=-1)
+        """Analytic score in the reference chart."""
+        return self.analytic_score(x, theta_ref)
 
 
 def score(model, x, theta, chart=None):
@@ -208,13 +191,6 @@ def log_density(model, x, theta, chart=None):
 
 def vech_indices(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
-
-def mat_from_vech(v, n):
-    sig = np.empty((n, n))
-    for k, (i, j) in enumerate(vech_indices(n)):
-        sig[i, j] = v[k]
-        sig[j, i] = v[k]
-    return sig
 
 def vech_from_mat(a):
     n = a.shape[0]

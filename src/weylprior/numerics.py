@@ -146,74 +146,75 @@ def expect(model, theta, f, quad=None, chart=None):
 
 @dataclass(frozen=True)
 class DiffSpec:
-    """Central finite differences; step is relative to the coordinate scale."""
+    """Richardson-extrapolated central finite differences; the step is
+    relative to the coordinate scale."""
 
     rel_step: float = 1e-4
     abs_floor: float = 1e-6
-    richardson: bool = True
 
     def __post_init__(self):
         # a NaN step never falls below the floor, so the stencil-halving loop
-        # in ``partial`` would never end
+        # in ``gradient`` would never end
         for name in ("rel_step", "abs_floor"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
-    def step(self, coord_value):
-        return max(self.rel_step * (abs(coord_value) + 1.0), self.abs_floor)
+    def step(self, theta):
+        """Initial step per coordinate of ``theta`` (any shape)."""
+        return np.maximum(self.rel_step * (np.abs(theta) + 1.0), self.abs_floor)
 
 
 DEFAULT_DIFF = DiffSpec()
 
 
-def partial(f, theta, i, diff: DiffSpec = None, domain=None):
-    """Central-difference estimate of d f / d theta^i.
+def _stencil(theta, h):
+    """Points (4, P, m, m): row [s, p, i] is theta[p] with coordinate i moved
+    by +h, -h, +h/2, -h/2 for s = 0..3, where h = h[p, i]."""
+    p, m = theta.shape
+    pts = np.broadcast_to(theta[None, :, None, :], (4, p, m, m)).copy()
+    diag = np.arange(m)
+    pts[:, :, diag, diag] += np.stack([h, -h, 0.5 * h, -0.5 * h])
+    return pts
 
-    ``f`` may return scalars or arrays.  If ``domain`` is given, the step is
-    halved until the whole stencil lies inside; below the floor this raises
-    DomainError.
+
+def gradient(f, theta, diff: DiffSpec = None, domain=None):
+    """Central-difference partials of ``f`` at one point (m,) or at every row
+    of a stack (P, m); the direction axis follows the point axis, so the
+    result is (m, ...) or (P, m, ...).
+
+    ``f`` maps a stack of points (K, m) to values (K, ...) and is called once,
+    on all 4 m P stencil points.  Each partial is the Richardson combination
+    (4 D(h/2) - D(h)) / 3 of two central differences D.  If ``domain`` (a
+    stacked predicate (K, m) -> (K,) bool, such as ``Chart.interior``) is
+    given, each coordinate's step is halved until its own stencil lies
+    inside; below the floor this raises DomainError.
     """
     if diff is None:
         diff = DEFAULT_DIFF
     theta = np.asarray(theta, dtype=float)
-    h = diff.step(theta[i])
-
-    def stencil_ok(hh):
-        if domain is None:
-            return True
-        for s in (-1.0, -0.5, 0.5, 1.0):
-            t = theta.copy()
-            t[i] += s * hh
-            if not domain(t):
-                return False
-        return True
-
-    while not stencil_ok(h):
-        h *= 0.5
-        if h < diff.abs_floor:
+    stack = theta if theta.ndim == 2 else theta[None]
+    p, m = stack.shape
+    h = diff.step(stack)
+    pts = _stencil(stack, h)
+    while domain is not None:
+        ok = domain(pts.reshape(-1, m)).reshape(4, p, m).all(axis=0)
+        if ok.all():
+            break
+        h = np.where(ok, h, 0.5 * h)
+        if (h < diff.abs_floor).any():
+            k, i = np.argwhere(h < diff.abs_floor)[0]
             raise DomainError(
                 f"FD stencil for coordinate {i} escapes the domain at "
-                f"theta={theta.tolist()} even at the minimum step")
-
-    def central(hh):
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[i] += hh
-        tm[i] -= hh
-        return (np.asarray(f(tp), dtype=float) - np.asarray(f(tm), dtype=float)) / (2.0 * hh)
-
-    d1 = central(h)
-    if not diff.richardson:
-        return d1
-    d2 = central(0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
-
-
-def gradient(f, theta, diff=None, domain=None):
-    """Stack of partials over all coordinates; leading axis is the direction."""
-    theta = np.asarray(theta, dtype=float)
-    return np.array([partial(f, theta, i, diff, domain) for i in range(len(theta))])
+                f"theta={stack[k].tolist()} even at the minimum step")
+        pts = _stencil(stack, h)
+    vals = np.asarray(f(pts.reshape(-1, m)), dtype=float)
+    vals = vals.reshape((4, p, m) + vals.shape[1:])
+    h = h.reshape(h.shape + (1,) * (vals.ndim - 3))
+    d1 = (vals[0] - vals[1]) / (2.0 * h)
+    d2 = (vals[2] - vals[3]) / (2.0 * (0.5 * h))
+    out = (4.0 * d2 - d1) / 3.0
+    return out if theta.ndim == 2 else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,49 +235,39 @@ class Path:
         if self.steps < 1:
             raise ValueError("steps must be positive")
 
-    def segments(self):
-        for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
-            yield a, b
+
+# 5-point Gauss-Legendre nodes and weights on [0, 1], for one subinterval
+_GL = np.polynomial.legendre.leggauss(5)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL[0] + 1.0), 0.5 * _GL[1]
 
 
-# nodes and weights on [0, 1] of one subinterval, per integration rule
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(5)
-_RULES = {"midpoint": (np.array([0.5]), np.array([1.0])),
-          "gauss": (0.5 * (_GL_T + 1.0), 0.5 * _GL_W)}
-
-
-def _segment_terms(omega, starts, ends, steps, rule):
+def _segment_terms(omega, starts, ends, steps):
     """Quadrature terms of the integrals of ``omega`` over the straight
     segments ``starts[s] -> ends[s]`` (both (S, m)): row s holds segment s's
     terms in path order.  ``omega`` is called once, on all nodes."""
-    try:
-        t, w = _RULES[rule]
-    except KeyError:
-        raise ValueError(f"unknown integration rule {rule!r}") from None
     starts = np.asarray(starts, dtype=float)
     span = np.asarray(ends, dtype=float) - starts
-    frac = ((np.arange(steps)[:, None] + t) / steps).reshape(-1)
+    frac = ((np.arange(steps)[:, None] + _GL_NODES) / steps).reshape(-1)
     nodes = starts[:, None, :] + frac[:, None] * span[:, None, :]
     phi = np.asarray(omega(nodes.reshape(-1, starts.shape[1]))).reshape(nodes.shape)
-    return np.tile(w, steps) * np.einsum("sni,si->sn", phi, span / steps)
+    return np.tile(_GL_WEIGHTS, steps) * np.einsum("sni,si->sn", phi, span / steps)
 
 
-def line_integral(omega, path: Path, rule="midpoint"):
-    """Integral of the 1-form ``omega`` along ``path``.
+def line_integral(omega, path: Path):
+    """Integral of the 1-form ``omega`` along ``path``, by composite 5-point
+    Gauss-Legendre on each of ``path.steps`` subintervals per segment.
 
     ``omega`` maps a stack of points (K, m) to covectors (K, m); it is called
-    once, on the nodes of the whole path.  "midpoint": composite midpoint,
-    second order in 1/steps (the default contract).  "gauss": composite
-    5-point Gauss-Legendre per subinterval, used where near-machine accuracy
-    is required.  The terms are added one by one in path order.
+    once, on the nodes of the whole path.  The terms are added one by one in
+    path order.
     """
     terms = _segment_terms(omega, path.waypoints[:-1], path.waypoints[1:],
-                           path.steps, rule)
+                           path.steps)
     return float(np.cumsum(terms)[-1])
 
 
-def segment_integrals(omega, starts, ends, steps, rule="gauss"):
+def segment_integrals(omega, starts, ends, steps):
     """Integrals (S,) of ``omega`` over each straight segment
     ``starts[s] -> ends[s]``, each by the rule of ``line_integral`` with
     ``steps`` subintervals; ``omega`` is called once, on all nodes."""
-    return np.cumsum(_segment_terms(omega, starts, ends, steps, rule), axis=1)[:, -1]
+    return np.cumsum(_segment_terms(omega, starts, ends, steps), axis=1)[:, -1]

@@ -230,8 +230,8 @@ def test_09_posterior_sanity(g1):
 
 
 def test_10_gauge_invariance(g1):
-    lam_scale = lambda t: float(np.log(t[1]))
-    lam_shift = lambda t: float(t[0])
+    lam_scale = lambda t: np.log(t[..., 1])
+    lam_shift = lambda t: t[..., 0]
     r1 = gauge_rescale_check(g1, lam_scale, Path([[0.0, 1.0], [0.0, 4.0]]))
     r2 = gauge_rescale_check(g1, lam_shift, Path([[0.0, 1.0], [2.0, 1.0]]))
     worst = max(r1, r2)

@@ -177,9 +177,311 @@ class TestWeylTranslate:
         assert weyl_translate(g1, loop) == pytest.approx(1.0, abs=1e-12)
 
     def test_gauge_rescale_invariance(self, g1):
-        lam_scale = lambda t: np.log(t[1])
+        lam_scale = lambda t: np.log(t[..., 1])
         path = Path([[0.0, 1.0], [0.0, 4.0]])
         assert gauge_rescale_check(g1, lam_scale, path) < 1e-6
-        lam_mu = lambda t: t[0]
+        lam_mu = lambda t: t[..., 0]
         path2 = Path([[0.0, 1.0], [2.0, 1.0]])
         assert gauge_rescale_check(g1, lam_mu, path2) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Reference route: the one-point, one-coordinate finite differences and the
+# per-function tensor evaluations that the stacked bundle replaced.  The
+# bundle must reproduce them bitwise.
+
+from weylprior import geometry
+from weylprior.errors import DomainError
+from weylprior.geometry import GAMMA_DIFF
+from weylprior.models import get_model
+from weylprior.numerics import DEFAULT_DIFF
+from weylprior.tensors import amari_chentsov, fisher_metric, inverse_metric, metric_and_cubic
+
+
+def reference_partial(f, theta, i, diff=None, domain=None):
+    if diff is None:
+        diff = DEFAULT_DIFF
+    theta = np.asarray(theta, dtype=float)
+    h = max(diff.rel_step * (abs(theta[i]) + 1.0), diff.abs_floor)
+
+    def stencil_ok(hh):
+        if domain is None:
+            return True
+        for s in (-1.0, -0.5, 0.5, 1.0):
+            t = theta.copy()
+            t[i] += s * hh
+            if not domain(t):
+                return False
+        return True
+
+    while not stencil_ok(h):
+        h *= 0.5
+        if h < diff.abs_floor:
+            raise DomainError(
+                f"FD stencil for coordinate {i} escapes the domain at "
+                f"theta={theta.tolist()} even at the minimum step")
+
+    def central(hh):
+        tp = theta.copy()
+        tm = theta.copy()
+        tp[i] += hh
+        tm[i] -= hh
+        return (np.asarray(f(tp), dtype=float) - np.asarray(f(tm), dtype=float)) / (2.0 * hh)
+
+    d1 = central(h)
+    d2 = central(0.5 * h)
+    return (4.0 * d2 - d1) / 3.0
+
+
+def reference_gradient(f, theta, diff=None, domain=None):
+    theta = np.asarray(theta, dtype=float)
+    return np.array([reference_partial(f, theta, i, diff, domain)
+                     for i in range(len(theta))])
+
+
+def _contains(model, chart):
+    ch = model.chart(chart)
+    return lambda t: ch.contains(t)
+
+
+def reference_metric_derivatives(model, theta, chart=None, diff=None):
+    return reference_gradient(lambda t: fisher_metric(model, t, chart).g, theta,
+                              diff, _contains(model, chart))
+
+
+def reference_levi_civita(model, theta, chart=None, diff=None):
+    met = fisher_metric(model, theta, chart)
+    ginv = inverse_metric(met)
+    dg = reference_metric_derivatives(model, theta, chart, diff)
+    a = (np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (2, 1, 0)) - dg)
+    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, a)
+    return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+
+
+def reference_alpha_connection(model, theta, alpha, chart=None, diff=None):
+    lc = reference_levi_civita(model, theta, chart, diff)
+    met, cub = metric_and_cubic(model, theta, chart)
+    return lc - 0.5 * alpha * np.einsum("il,ljk->ijk", inverse_metric(met), cub.C)
+
+
+def reference_weyl_one_form(model, theta, chart=None):
+    met, cub = metric_and_cubic(model, theta, chart)
+    return 0.5 * np.einsum("...ijk,...jk->...i", cub.C, inverse_metric(met))
+
+
+def reference_weyl_connection(model, theta, chart=None, diff=None):
+    lc = reference_levi_civita(model, theta, chart, diff)
+    met, cub = metric_and_cubic(model, theta, chart)
+    ginv = inverse_metric(met)
+    phi = reference_weyl_one_form(model, theta, chart)
+    eye = np.eye(model.dim)
+    corr = 0.5 * (np.einsum("ij,k->ijk", eye, phi)
+                  + np.einsum("ik,j->ijk", eye, phi)
+                  - np.einsum("im,m,jk->ijk", ginv, phi, met.g))
+    return lc + corr
+
+
+def reference_closedness_residual(model, theta, chart=None):
+    dphi = reference_gradient(lambda t: reference_weyl_one_form(model, t, chart),
+                              theta, None, _contains(model, chart))
+    return dphi - dphi.T
+
+
+def reference_connection(model, theta, kind, alpha, chart=None):
+    if kind == "levi_civita":
+        return reference_levi_civita(model, theta, chart)
+    if kind == "alpha":
+        return reference_alpha_connection(model, theta, alpha, chart)
+    return reference_weyl_connection(model, theta, chart)
+
+
+def reference_ricci_tensor(model, theta, kind="levi_civita", alpha=None, chart=None):
+    gfn = lambda t: reference_connection(model, t, kind, alpha, chart)
+    g0 = gfn(np.asarray(theta, dtype=float))
+    dg = reference_gradient(gfn, theta, GAMMA_DIFF, _contains(model, chart))
+    return (np.einsum("iijk->jk", dg)
+            - np.einsum("jiik->jk", dg)
+            + np.einsum("iip,pjk->jk", g0, g0)
+            - np.einsum("ijp,pik->jk", g0, g0))
+
+
+def reference_duality_residual(model, theta, alpha, chart=None):
+    g = fisher_metric(model, theta, chart).g
+    dg = reference_metric_derivatives(model, theta, chart)
+    gp = reference_alpha_connection(model, theta, alpha, chart)
+    gm = reference_alpha_connection(model, theta, -alpha, chart)
+    return (dg - np.einsum("lki,lj->kij", gp, g)
+            - np.einsum("lkj,il->kij", gm, g))
+
+
+def reference_nabla_g_identity_residual(model, theta, alpha, chart=None):
+    g = fisher_metric(model, theta, chart).g
+    dg = reference_metric_derivatives(model, theta, chart)
+    ga = reference_alpha_connection(model, theta, alpha, chart)
+    c = amari_chentsov(model, theta, chart).C
+    nabla_g = (dg - np.einsum("lki,lj->kij", ga, g)
+               - np.einsum("lkj,il->kij", ga, g))
+    return nabla_g - alpha * c
+
+
+def reference_weyl_compatibility_residual(model, theta, chart=None):
+    g = fisher_metric(model, theta, chart).g
+    dg = reference_metric_derivatives(model, theta, chart)
+    gw = reference_weyl_connection(model, theta, chart)
+    phi = reference_weyl_one_form(model, theta, chart)
+    return (dg - np.einsum("lki,lj->kij", gw, g)
+            - np.einsum("lkj,il->kij", gw, g)
+            + np.einsum("k,ij->kij", phi, g))
+
+
+def reference_trace_identity_residual(model, theta, chart=None):
+    lc = reference_levi_civita(model, theta, chart)
+    wc = reference_weyl_connection(model, theta, chart)
+    phi = reference_weyl_one_form(model, theta, chart)
+    return (np.einsum("iji->j", wc) - np.einsum("iji->j", lc)
+            - 0.5 * model.dim * phi)
+
+
+def _pairs(model, theta, chart, alphas, ricci_alphas):
+    """(name, new route, reference route) for every connection, residual and
+    Ricci kind at one point."""
+    th = np.asarray(theta, dtype=float)
+    out = [
+        ("d g", lambda: geometry._bundle(model, th, chart, None, None).dg,
+         lambda: reference_metric_derivatives(model, th, chart)),
+        ("levi_civita", lambda: levi_civita(model, th, chart).gamma,
+         lambda: reference_levi_civita(model, th, chart)),
+        ("weyl", lambda: weyl_connection(model, th, chart).gamma,
+         lambda: reference_weyl_connection(model, th, chart)),
+        ("closedness", lambda: closedness_residual(model, th, chart),
+         lambda: reference_closedness_residual(model, th, chart)),
+        ("weyl-compat", lambda: weyl_compatibility_residual(model, th, chart),
+         lambda: reference_weyl_compatibility_residual(model, th, chart)),
+        ("trace-identity", lambda: trace_identity_residual(model, th, chart),
+         lambda: reference_trace_identity_residual(model, th, chart)),
+    ]
+    for a in alphas:
+        out += [
+            (f"alpha({a})", lambda a=a: alpha_connection(model, th, a, chart).gamma,
+             lambda a=a: reference_alpha_connection(model, th, a, chart)),
+            (f"duality({a})", lambda a=a: duality_residual(model, th, a, chart),
+             lambda a=a: reference_duality_residual(model, th, a, chart)),
+            (f"nabla-g({a})", lambda a=a: nabla_g_identity_residual(model, th, a, chart),
+             lambda a=a: reference_nabla_g_identity_residual(model, th, a, chart)),
+        ]
+    kinds = ([("levi_civita", None), ("weyl", None)]
+             + [("alpha", a) for a in ricci_alphas])
+    for kind, a in kinds:
+        out.append((f"ricci {kind}({a})",
+                    lambda kind=kind, a=a: ricci_tensor(model, th, kind, a, chart),
+                    lambda kind=kind, a=a: reference_ricci_tensor(model, th, kind, a,
+                                                                  chart)))
+    return out
+
+
+REFERENCE_CASES = [
+    ("gaussian1d", None, [0.5, 1.5]),
+    ("gaussian1d", "mu_sigma", [0.5, 1.2]),
+    ("gaussian1d", "natural", [0.3, -0.4]),
+    ("bernoulli", None, [0.3]),
+    ("bernoulli", None, [1.5e-4]),       # the metric stencil halves its step
+    ("bernoulli", "natural", [0.4]),
+    ("poisson", None, [2.5]),
+    ("gaussian_mv:2", None, list(vech_theta([0.1, -0.2], [[1.4, 0.2], [0.2, 0.9]]))),
+]
+
+
+class TestSameNumbersAsReference:
+    @pytest.mark.parametrize("model_id,chart,theta", REFERENCE_CASES)
+    def test_bitwise_equal(self, model_id, chart, theta):
+        model = get_model(model_id)
+        ricci_alphas = (1.0,) if model.dim > 2 else (-2.0, 0.0, 1.0, 2.0)
+        for name, new, ref in _pairs(model, theta, chart, (-2.0, 0.0, 1.0),
+                                     ricci_alphas):
+            got, want = new(), ref()
+            assert got.shape == want.shape, name
+            assert np.array_equal(got, want), (name, np.max(np.abs(got - want)))
+
+    def test_identity_suite_points(self, g1):
+        rng = np.random.default_rng(1)
+        mu = rng.uniform(-2.0, 2.0, 40)
+        s2 = np.exp(rng.uniform(np.log(0.25), np.log(4.0), 40))
+        for theta in np.column_stack([mu, s2]):
+            for a in (-2.0, 0.0, 1.0):
+                assert np.array_equal(duality_residual(g1, theta, a),
+                                      reference_duality_residual(g1, theta, a))
+                assert np.array_equal(nabla_g_identity_residual(g1, theta, a),
+                                      reference_nabla_g_identity_residual(g1, theta, a))
+            assert np.array_equal(closedness_residual(g1, theta),
+                                  reference_closedness_residual(g1, theta))
+            assert np.array_equal(weyl_compatibility_residual(g1, theta),
+                                  reference_weyl_compatibility_residual(g1, theta))
+            assert np.array_equal(trace_identity_residual(g1, theta),
+                                  reference_trace_identity_residual(g1, theta))
+            for a in (-2.0, 0.0, 1.0, 2.0):
+                assert np.array_equal(ricci_tensor(g1, theta, "alpha", a),
+                                      reference_ricci_tensor(g1, theta, "alpha", a))
+            assert np.array_equal(ricci_tensor(g1, theta),
+                                  reference_ricci_tensor(g1, theta))
+
+    @pytest.mark.parametrize("fn", [
+        lambda m, t: levi_civita(m, t),
+        lambda m, t: duality_residual(m, t, 1.0),
+        lambda m, t: closedness_residual(m, t),
+        lambda m, t: ricci_tensor(m, t, "alpha", 1.0),
+        lambda m, t: reference_levi_civita(m, t),
+        lambda m, t: reference_duality_residual(m, t, 1.0),
+        lambda m, t: reference_closedness_residual(m, t),
+        lambda m, t: reference_ricci_tensor(m, t, "alpha", 1.0),
+    ])
+    def test_near_boundary_raises_on_both_routes(self, bern, fn):
+        # p = 5e-7 is interior, but no stencil above the 1e-6 step floor fits
+        with pytest.raises(DomainError, match="FD stencil for coordinate 0"):
+            fn(bern, [5e-7])
+
+
+class TestStackedConnections:
+    @pytest.mark.parametrize("model_fixture,stack", [
+        ("g1", [[0.5, 1.5], [-1.0, 0.3], [2.0, 4.0]]),
+        ("mv2", [vech_theta([0.1, -0.2], [[1.4, 0.2], [0.2, 0.9]]),
+                 vech_theta([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])]),
+        ("bern", [[0.3], [1.5e-4], [0.9]]),
+    ])
+    def test_stack_matches_one_point_calls_bitwise(self, request, model_fixture, stack):
+        model = request.getfixturevalue(model_fixture)
+        stack = np.asarray(stack, dtype=float)
+        for conn in (lambda t: levi_civita(model, t),
+                     lambda t: alpha_connection(model, t, -2.0),
+                     lambda t: weyl_connection(model, t)):
+            got = conn(stack)
+            assert got.gamma.shape == (len(stack),) + (model.dim,) * 3
+            assert np.array_equal(got.at, stack)
+            for p, theta in enumerate(stack):
+                assert np.array_equal(got.gamma[p], conn(theta).gamma)
+
+
+class TestWorkCount:
+    CHECKS = [("closedness", 1.0), ("duality", 1.0), ("nabla-g", -2.0),
+              ("weyl-compat", 1.0), ("trace-identity", 1.0),
+              ("ricci-symmetry", 2.0), ("gauge", 1.0)]
+
+    @pytest.mark.parametrize("what,alpha", CHECKS)
+    @pytest.mark.parametrize("model_id,theta", [
+        ("gaussian1d", [0.5, 1.5]),
+        ("gaussian_mv:2", list(vech_theta([0.0, 0.0], [[1.3, 0.2], [0.2, 1.0]]))),
+    ])
+    def test_at_most_four_stacked_tensor_calls(self, monkeypatch, model_id, theta,
+                                               what, alpha):
+        from weylprior import cli, tensors
+        model = get_model(model_id)
+        calls = []
+        inner = tensors._tensors
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(tensors, "_tensors", counted)
+        res, tol = cli.run_check(model, what, np.asarray(theta), alpha, path_steps=8)
+        assert res < tol
+        assert 1 <= len(calls) <= 4, calls

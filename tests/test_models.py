@@ -5,10 +5,27 @@ import pytest
 
 from weylprior import expect, get_model, log_density, score
 from weylprior.errors import DomainError, InvalidConfigError, UnknownModelError
-from weylprior.models import _fd_score, vech_from_mat, vech_indices
+from weylprior.models import vech_from_mat, vech_indices
 from weylprior.numerics import sample_nodes
 
 from conftest import vech_theta
+
+
+def _fd_score(model, x, theta_ref, rel_step=1e-5):
+    """Central differences of the log-density, the oracle for the analytic
+    scores."""
+    theta_ref = np.asarray(theta_ref, dtype=float)
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(model.dim):
+        h = rel_step * (np.abs(theta_ref[..., i]) + 1.0)
+        tp = theta_ref.copy()
+        tm = theta_ref.copy()
+        tp[..., i] += h
+        tm[..., i] -= h
+        cols.append((model.log_density(x, tp) - model.log_density(x, tm))
+                    / (2.0 * h[..., None]))
+    return np.stack(cols, axis=-1)
 
 
 class TestRegistry:

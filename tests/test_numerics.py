@@ -8,7 +8,7 @@ from scipy import stats
 
 from weylprior import DiffSpec, Path, QuadratureSpec, expect, line_integral
 from weylprior.errors import DomainError
-from weylprior.numerics import gauss_hermite_nodes, gradient, partial, sample_nodes
+from weylprior.numerics import gauss_hermite_nodes, gradient, sample_nodes
 
 from conftest import vech_theta
 
@@ -81,25 +81,72 @@ class TestQuadrature:
 class TestFiniteDifferences:
     def test_polynomial_derivative(self):
         # Richardson-extrapolated central differences are 4th order
-        f = lambda t: t[0] ** 3 + 2.0 * t[0] * t[1]
+        f = lambda t: t[:, 0] ** 3 + 2.0 * t[:, 0] * t[:, 1]
         d = gradient(f, np.array([1.5, -0.5]))
         np.testing.assert_allclose(d, [3 * 1.5 ** 2 - 1.0, 3.0], rtol=1e-9)
 
     def test_array_valued(self):
-        f = lambda t: np.array([[t[0] ** 2, t[0] * t[1]], [t[0] * t[1], t[1] ** 2]])
-        d = partial(f, np.array([2.0, 3.0]), 0)
-        np.testing.assert_allclose(d, [[4.0, 3.0], [3.0, 0.0]], atol=1e-8)
+        f = lambda t: np.array([[t[:, 0] ** 2, t[:, 0] * t[:, 1]],
+                                [t[:, 0] * t[:, 1], t[:, 1] ** 2]]).transpose(2, 0, 1)
+        d = gradient(f, np.array([2.0, 3.0]))
+        np.testing.assert_allclose(d[0], [[4.0, 3.0], [3.0, 0.0]], atol=1e-8)
+        np.testing.assert_allclose(d[1], [[0.0, 2.0], [2.0, 6.0]], atol=1e-8)
 
     def test_domain_shrinks_step(self):
-        dom = lambda t: t[0] > 0.99999
-        d = partial(lambda t: t[0] ** 2, np.array([1.0]), 0,
-                    DiffSpec(rel_step=1e-4, abs_floor=1e-9), dom)
-        assert d == pytest.approx(2.0, rel=1e-6)
+        dom = lambda t: t[:, 0] > 0.99999
+        d = gradient(lambda t: t[:, 0] ** 2, np.array([1.0]),
+                     DiffSpec(rel_step=1e-4, abs_floor=1e-9), dom)
+        assert d[0] == pytest.approx(2.0, rel=1e-6)
 
     def test_domain_unreachable_raises(self):
-        with pytest.raises(DomainError):
-            partial(lambda t: t[0], np.array([1.0]), 0,
-                    DiffSpec(abs_floor=1e-7), lambda t: abs(t[0] - 1.0) < 1e-9)
+        with pytest.raises(DomainError, match="coordinate 0"):
+            gradient(lambda t: t[:, 0], np.array([1.0]),
+                     DiffSpec(abs_floor=1e-7), lambda t: np.abs(t[:, 0] - 1.0) < 1e-9)
+
+    def test_f_called_once_on_all_stencil_points(self):
+        shapes = []
+
+        def f(t):
+            shapes.append(t.shape)
+            return t[:, 0] * t[:, 1]
+
+        stack = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        d = gradient(f, stack)
+        assert shapes == [(4 * 2 * 3, 2)]
+        np.testing.assert_allclose(d, stack[:, ::-1], rtol=1e-10)
+
+    def test_stack_matches_one_point_calls_bitwise(self):
+        f = lambda t: np.stack([np.sin(t[:, 0]) * t[:, 1], np.exp(t[:, 1])], axis=-1)
+        stack = np.array([[0.3, 1.2], [-2.0, 0.1], [7.5, -3.0]])
+        d = gradient(f, stack)
+        assert d.shape == (3, 2, 2)
+        for p, theta in enumerate(stack):
+            assert np.array_equal(d[p], gradient(f, theta))
+
+    def test_only_the_escaping_coordinate_is_halved(self):
+        # coordinate 0 sits 1e-5 from the edge t0 > 1; coordinate 1 is free,
+        # so its step stays at rel_step * (|t1| + 1) and its quadratic's
+        # Richardson error shows that step
+        diff = DiffSpec(rel_step=1e-1, abs_floor=1e-9)
+        f = lambda t: t[:, 0] ** 2 + t[:, 1] ** 5
+        d = gradient(f, np.array([1.00001, 1.0]), diff, lambda t: t[:, 0] > 1.0)
+        h = 0.2
+        want_1 = (4.0 * self._central5(0.5 * h) - self._central5(h)) / 3.0
+        assert d[1] == pytest.approx(want_1, rel=1e-12)
+        assert d[1] != pytest.approx(5.0, rel=1e-6)
+        assert d[0] == pytest.approx(2.00002, rel=1e-9)
+
+    @staticmethod
+    def _central5(h):
+        return ((1.0 + h) ** 5 - (1.0 - h) ** 5) / (2.0 * h)
+
+    def test_stencil_order_and_richardson(self):
+        # f = t^3 at t = 1 with h = 0.5: D(h) = 3 + h^2, so the Richardson
+        # combination (4 D(h/2) - D(h)) / 3 is exactly 3 while either central
+        # difference alone, or one with its signs swapped, is not
+        d = gradient(lambda t: t[:, 0] ** 3, np.array([1.0]),
+                     DiffSpec(rel_step=0.25, abs_floor=1e-9))
+        assert d[0] == 3.0
 
     @pytest.mark.parametrize("field", ["rel_step", "abs_floor"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-4])
@@ -120,24 +167,16 @@ class TestPathIntegrals:
         # omega = d(x y): integral depends only on endpoints
         omega = lambda t: t[:, ::-1]
         p = Path([[0.0, 0.0], [2.0, 0.5], [1.0, 3.0]])
-        assert line_integral(omega, p) == pytest.approx(3.0, abs=1e-6)
-        assert line_integral(omega, p, rule="gauss") == pytest.approx(3.0, abs=1e-12)
-
-    def test_midpoint_second_order(self):
-        omega = np.sin
-        exact = 1.0 - np.cos(2.0)
-        errs = [abs(line_integral(omega, Path([[0.0], [2.0]], steps=n)) - exact)
-                for n in (8, 16, 32)]
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
-        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
+        assert line_integral(omega, p) == pytest.approx(3.0, abs=1e-12)
 
     def test_gauss_near_machine(self):
         omega = np.exp
-        val = line_integral(omega, Path([[0.0], [1.0]], steps=4), rule="gauss")
+        val = line_integral(omega, Path([[0.0], [1.0]], steps=4))
         assert val == pytest.approx(np.e - 1.0, abs=1e-13)
 
-    @pytest.mark.parametrize("rule,per_step", [("midpoint", 1), ("gauss", 5)])
-    def test_one_call_on_all_nodes(self, rule, per_step):
+    # 5 Gauss-Legendre nodes per subinterval
+    @pytest.mark.parametrize("per_step", [5], ids=["gauss-5"])
+    def test_one_call_on_all_nodes(self, per_step):
         # the 1-form is evaluated once, on the nodes of every segment
         shapes = []
 
@@ -146,9 +185,5 @@ class TestPathIntegrals:
             return t[:, ::-1]
 
         p = Path([[0.0, 0.0], [2.0, 0.5], [1.0, 3.0]], steps=7)
-        line_integral(omega, p, rule=rule)
+        line_integral(omega, p)
         assert shapes == [(2 * 7 * per_step, 2)]
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            line_integral(lambda t: t, Path([[0.0], [1.0]]), rule="simpson")
