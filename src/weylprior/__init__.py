@@ -2,7 +2,7 @@
 Weyl connections, and the prior fields they induce."""
 
 from .models import get_model, log_density, score
-from .numerics import DiffSpec, Path, QuadratureSpec, expect, gradient, line_integral
+from .numerics import DiffSpec, QuadratureSpec, gradient, segment_integrals
 from .tensors import amari_chentsov, fisher_metric, inverse_metric, sqrt_det_metric
 from .geometry import (
     alpha_connection,
@@ -17,7 +17,6 @@ from .geometry import (
     weyl_compatibility_residual,
     weyl_connection,
     weyl_one_form,
-    weyl_translate,
 )
 from .priors import (
     Axis,
@@ -31,6 +30,6 @@ from .priors import (
     theorem_ratio_check,
     weyl_prior_field,
 )
-from .bayes import Dataset, grid_posterior, load_observations, posterior_compare
+from .bayes import Dataset, grid_posterior, load_observations
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr
+from scipy.special import logsumexp
 
 from .errors import DataError, GridError
 from .models import ModelSpec
@@ -90,12 +90,3 @@ def grid_posterior(model: ModelSpec, prior: PriorField, data: Dataset,
     masses = np.exp(log_values + logvol)
     return PosteriorGrid(pts, log_values, masses, grid=prior.grid)
 
-
-def posterior_compare(a: PosteriorGrid, b: PosteriorGrid):
-    """Discrete KL divergences (both directions) and total variation."""
-    if a.masses.shape != b.masses.shape or not np.array_equal(a.points, b.points):
-        raise GridError("posterior grids do not match")
-    kl_ab = float(np.sum(rel_entr(a.masses, b.masses)))
-    kl_ba = float(np.sum(rel_entr(b.masses, a.masses)))
-    tv = 0.5 * float(np.sum(np.abs(a.masses - b.masses)))
-    return {"kl_ab": kl_ab, "kl_ba": kl_ba, "total_variation": tv}

@@ -18,7 +18,7 @@ import numpy as np
 from . import bayes, geometry, priors
 from .errors import InvalidConfigError, WeylPriorError
 from .models import get_model
-from .numerics import DiffSpec, Path, QuadratureSpec
+from .numerics import DiffSpec, QuadratureSpec
 from .tensors import amari_chentsov, fisher_metric
 
 CHECK_TOLERANCES = {
@@ -82,6 +82,19 @@ def _diff(args):
     return DiffSpec(rel_step=args.fd_step)
 
 
+def _alpha(args):
+    if args.alpha is not None and not np.isfinite(args.alpha):
+        raise InvalidConfigError(f"--alpha {args.alpha}: need a finite value")
+    return args.alpha
+
+
+def _path_steps(args):
+    if args.path_steps < 1:
+        raise InvalidConfigError(
+            f"--path-steps {args.path_steps}: need at least 1 subinterval")
+    return args.path_steps
+
+
 def _emit(payload, out=None):
     text = json.dumps(payload, indent=2)
     if out:
@@ -104,13 +117,17 @@ def cmd_tensor(args):
     return 0
 
 
+GAUGE_SCALES = np.array([0.25, -0.25, 0.1, -0.1, 0.05, -0.05])
+
+
 def _gauge_endpoint(model, theta, chart):
-    ch = model.chart(chart)
-    for scale in (0.25, -0.25, 0.1, -0.1, 0.05, -0.05):
-        q = theta + scale * (np.abs(theta) + 1.0)
-        if geometry._path_in_domain([theta, q], ch.interior):
-            return q
-    raise WeylPriorError("could not find an in-domain gauge-check path endpoint")
+    """The first interior candidate endpoint; the chart domain is convex, so
+    the segment to it from the interior point ``theta`` stays interior."""
+    ends = theta + GAUGE_SCALES[:, None] * (np.abs(theta) + 1.0)
+    inside = model.chart(chart).interior(ends)
+    if not inside.any():
+        raise WeylPriorError("could not find an in-domain gauge-check path endpoint")
+    return ends[np.argmax(inside)]
 
 
 def run_check(model, what, theta, alpha=1.0, chart=None, quad=None, diff=None,
@@ -135,9 +152,8 @@ def run_check(model, what, theta, alpha=1.0, chart=None, quad=None, diff=None,
                                                              quad, diff)))
     elif what == "gauge":
         q = _gauge_endpoint(model, theta, chart)
-        path = Path([theta, q], steps=path_steps)
-        res = geometry.gauge_rescale_check(model, lambda t: t[..., 0], path,
-                                           chart, quad, diff)
+        res = geometry.gauge_rescale_check(model, lambda t: t[..., 0], theta, q,
+                                           path_steps, chart, quad, diff)
     else:
         raise WeylPriorError(f"unknown check {what!r}")
     return float(res), tol
@@ -146,9 +162,10 @@ def run_check(model, what, theta, alpha=1.0, chart=None, quad=None, diff=None,
 def cmd_check(args):
     model = get_model(args.model)
     theta = _parse_theta(args.theta)
-    res, tol = run_check(model, args.what, theta, alpha=args.alpha,
+    model.require_interior(theta, args.chart)
+    res, tol = run_check(model, args.what, theta, alpha=_alpha(args),
                          chart=args.chart, quad=_quad(args), diff=_diff(args),
-                         path_steps=args.path_steps)
+                         path_steps=_path_steps(args))
     ok = res < tol
     _emit({"check": args.what, "theta": theta.tolist(), "max_residual": res,
            "tolerance": tol, "pass": bool(ok)}, args.out)
@@ -161,12 +178,13 @@ def cmd_prior(args):
     grid = _parse_grid(args.grid, chart)
     anchor = _parse_theta(args.anchor) if args.anchor else None
     quad = _quad(args)
+    alpha = _alpha(args)
     if args.kind == "jeffreys":
         field = priors.jeffreys_field(model, grid, quad, normalize=args.normalize)
     elif args.kind == "alpha":
-        if args.alpha is None:
+        if alpha is None:
             raise WeylPriorError("--kind alpha requires --alpha")
-        field = priors.alpha_prior_field(model, grid, args.alpha, anchor, quad,
+        field = priors.alpha_prior_field(model, grid, alpha, anchor, quad,
                                          normalize=args.normalize)
     else:
         field = priors.weyl_prior_field(model, grid, anchor, quad,
@@ -200,7 +218,8 @@ def cmd_posterior(args):
         if args.prior_kind == "jeffreys":
             field = priors.jeffreys_field(model, grid, _quad(args))
         elif args.prior_kind == "alpha":
-            field = priors.alpha_prior_field(model, grid, args.alpha, anchor, _quad(args))
+            field = priors.alpha_prior_field(model, grid, _alpha(args), anchor,
+                                             _quad(args))
         else:
             field = priors.weyl_prior_field(model, grid, anchor, _quad(args))
     if args.data:

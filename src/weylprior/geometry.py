@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosednessError, DomainError
-from .numerics import DiffSpec, Path, gradient, line_integral
+from .numerics import DiffSpec, gradient, segment_integrals
 from .tensors import fisher_metric, inverse_metric, metric_and_cubic
 
 # FD of connection coefficients sits on top of FD of the metric; a larger
@@ -21,6 +21,9 @@ from .tensors import fisher_metric, inverse_metric, metric_and_cubic
 GAMMA_DIFF = DiffSpec(rel_step=1e-3)
 
 CLOSEDNESS_TOL = 1e-6
+
+# Gauss-Legendre subintervals on the segment from the anchor to each point
+POTENTIAL_STEPS = 24
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class OneFormSample:
 class PotentialValue:
     at: np.ndarray
     anchor: np.ndarray
-    omega: float
+    omega: object              # float at one point, (P,) over a stack
 
 
 @dataclass(frozen=True)
@@ -139,63 +142,39 @@ def closedness_residual(model, theta, chart=None, quad=None, diff=None):
     return dphi - np.swapaxes(dphi, -1, -2)
 
 
-def _staircase(anchor, theta):
-    """Axis-aligned waypoints from anchor to theta, one coordinate at a time."""
-    pts = [np.asarray(anchor, dtype=float)]
-    cur = np.asarray(anchor, dtype=float).copy()
-    for i in range(len(cur)):
-        if cur[i] != theta[i]:
-            cur = cur.copy()
-            cur[i] = theta[i]
-            pts.append(cur)
-    if len(pts) == 1:
-        pts.append(np.asarray(theta, dtype=float))
-    return pts
+def potential_omega(model, theta, anchor, chart=None, quad=None):
+    """Potential Omega with Omega(anchor) = 0, at one point (m,) or at every
+    row of a stack (P, m), by integrating the Weyl 1-form along the straight
+    segment from the anchor.
 
-
-def _path_in_domain(waypoints, interior, probes=65):
-    """Whether ``probes`` evenly spaced points on every segment of the
-    polyline lie in the domain, tested in one call of the stacked predicate
-    ``interior`` (such as ``Chart.interior``)."""
-    a = np.asarray(waypoints[:-1], dtype=float)
-    span = np.asarray(waypoints[1:], dtype=float) - a
-    t = np.linspace(0.0, 1.0, probes)[:, None, None]
-    return bool(interior((a + t * span).reshape(-1, a.shape[1])).all())
-
-
-def potential_omega(model, theta, anchor, chart=None, quad=None, steps=24,
-                    check_closedness=True):
-    """Potential Omega with Omega(anchor) = 0, by integrating the Weyl 1-form.
-
-    Straight anchor->theta path when it stays in the domain, otherwise an
-    axis-aligned staircase.  Integration uses composite Gauss-Legendre so the
-    potential is accurate to near machine precision for smooth 1-forms; the
-    1-form is evaluated at all nodes of the path in one stacked call.
+    Chart domains are convex (see ``Chart``), so each segment between
+    interior endpoints stays interior.  Closedness, which makes Omega
+    path-independent, is probed once, halfway from the anchor to the middle
+    point.  All segments are integrated by composite Gauss-Legendre in one
+    ``segment_integrals`` call, so the 1-form is evaluated at every node in
+    one stacked call; ``.omega`` is a float for one point and (P,) for a
+    stack.
     """
-    ch = model.chart(chart)
-    theta = np.asarray(theta, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
-    if np.array_equal(theta, anchor):
-        return PotentialValue(theta, anchor, 0.0)
-    waypoints = [anchor, theta]
-    if not _path_in_domain(waypoints, ch.interior):
-        waypoints = _staircase(anchor, theta)
-        if not _path_in_domain(waypoints, ch.interior):
-            raise DomainError(
-                f"no in-domain path from anchor {anchor.tolist()} to "
-                f"theta {theta.tolist()} in chart {ch.name!r}")
-    if check_closedness:
-        mid = 0.5 * (anchor + theta)
-        if not ch.contains(mid):
-            mid = waypoints[min(1, len(waypoints) - 1)]
-        res = np.max(np.abs(closedness_residual(model, mid, chart, quad)))
-        if res > CLOSEDNESS_TOL:
-            raise ClosednessError(
-                f"Weyl 1-form is not closed (residual {res:.3e} at "
-                f"{np.asarray(mid).tolist()}); the potential is undefined")
-    omega = line_integral(one_form_field(model, chart, quad),
-                          Path(waypoints, steps=steps))
-    return PotentialValue(theta, anchor, omega)
+    try:
+        model.require_interior(anchor, chart)
+    except DomainError as exc:
+        raise DomainError(f"anchor: {exc}") from None
+    theta = np.asarray(theta, dtype=float)
+    model.require_interior(theta, chart)
+    stack = theta if theta.ndim == 2 else theta[None]
+    probe = 0.5 * (anchor + stack[len(stack) // 2])
+    res = np.max(np.abs(closedness_residual(model, probe, chart, quad)))
+    if res > CLOSEDNESS_TOL:
+        raise ClosednessError(
+            f"Weyl 1-form is not closed (residual {res:.3e} at "
+            f"{probe.tolist()}); the potential and the alpha-parallel and "
+            "Weyl priors are undefined for this family")
+    omega = segment_integrals(one_form_field(model, chart, quad),
+                              np.broadcast_to(anchor, stack.shape), stack,
+                              POTENTIAL_STEPS)
+    return PotentialValue(theta, anchor,
+                          omega if theta.ndim == 2 else float(omega[0]))
 
 
 def ricci_tensor(model, theta, kind="levi_civita", alpha=None, chart=None,
@@ -248,31 +227,31 @@ def trace_identity_residual(model, theta, chart=None, quad=None, diff=None):
             - np.einsum("...iji->...j", b.lc) - 0.5 * model.dim * b.phi)
 
 
-def weyl_translate(model, path: Path, chart=None, quad=None):
-    """Scale factor exp(int phi) carrying a scalar product along the path."""
-    return float(np.exp(line_integral(one_form_field(model, chart, quad), path)))
-
-
-def gauge_rescale_check(model, lam, path: Path, chart=None, quad=None,
+def gauge_rescale_check(model, lam, start, end, steps, chart=None, quad=None,
                         diff=None):
-    """Relative mismatch of the Weyl translation computed in two gauges.
+    """Relative mismatch of the Weyl translation from ``start`` to ``end``
+    computed in two gauges.
 
     Branch A uses (g, phi); branch B uses (e^lam g, phi - d lam), mapped back
     to the same initial scalar product.  The Weyl structure axiom makes the
-    two translated products equal.  ``lam`` maps a stack of points (K, m) to
-    values (K,) and one point (m,) to a scalar, e.g. ``lambda t: t[..., 0]``;
-    d lam is taken at all path nodes in one ``gradient`` call.
+    two translated products equal.  Both branches integrate along the
+    straight segment with ``steps`` Gauss-Legendre subintervals.  ``lam``
+    maps a stack of points (K, m) to values (K,) and one point (m,) to a
+    scalar, e.g. ``lambda t: t[..., 0]``; d lam is taken at all nodes in one
+    ``gradient`` call.
     """
-    p = path.waypoints[0]
-    q = path.waypoints[-1]
+    p = np.asarray(start, dtype=float)
+    q = np.asarray(end, dtype=float)
     v = np.ones(model.dim)
     base = float(v @ fisher_metric(model, q, chart, quad).g @ v)
     phi = one_form_field(model, chart, quad)
-    val_a = np.exp(line_integral(phi, path)) * base
+
+    def integral(omega):
+        return segment_integrals(omega, p[None], q[None], steps)[0]
 
     def phi_gauged(ts):
         return phi(ts) - gradient(lam, ts, diff, model.chart(chart).interior)
 
-    scale = np.exp(line_integral(phi_gauged, path))
-    val_b = scale * np.exp(lam(q)) * base * np.exp(-lam(p))
+    val_a = np.exp(integral(phi)) * base
+    val_b = np.exp(integral(phi_gauged)) * np.exp(lam(q)) * base * np.exp(-lam(p))
     return abs(val_a - val_b) / max(abs(val_a), np.finfo(float).tiny)

@@ -33,6 +33,11 @@ class Chart:
 
     ``to_reference``/``from_reference`` are None for the reference chart
     itself (identity).  ``jacobian`` evaluates d(theta_ref)/d(theta_chart).
+
+    Every chart domain, shrunk by its interiority margin, is convex and must
+    stay so: potentials integrate along the straight segment from an
+    interior anchor, and grid sweeps along the edges between interior grid
+    points, without testing that the path stays interior.
     """
 
     def __init__(self, name, coords, contains,
@@ -44,11 +49,6 @@ class Chart:
         self._to_ref = to_reference
         self._from_ref = from_reference
         self._jacobian = jacobian
-
-    def contains(self, theta, margin=DOMAIN_MARGIN):
-        """Whether the one point ``theta`` (m,) is interior."""
-        theta = np.asarray(theta, dtype=float)
-        return theta.shape == (self.dim,) and bool(self.interior(theta[None], margin)[0])
 
     def interior(self, thetas, margin=DOMAIN_MARGIN):
         """Boolean (P,): which rows of the stack ``thetas`` (P, m) are interior."""
@@ -90,7 +90,6 @@ class SampleSpace:
     kind: str                       # "continuous" | "discrete"
     dim: int
     support_size: Optional[Callable] = None  # theta_ref (..., m) -> N (...), discrete only
-    tail_bound: float = 1e-12
     max_value: Optional[float] = None    # discrete only
 
     def validate(self, x, source="observations"):
@@ -138,12 +137,19 @@ class ModelSpec:
 
     def require_interior(self, theta, chart=None, margin=DOMAIN_MARGIN):
         """The chart, if ``theta`` (one point, or a stack of shape (P, m)) is
-        interior; otherwise DomainError naming the (first) outside point."""
+        interior; otherwise DomainError naming the (first) outside point, or
+        the coordinate count if it differs from the chart's dimension."""
         ch = self.chart(chart) if isinstance(chart, (str, type(None))) else chart
         theta = np.asarray(theta, dtype=float)
         stack = theta if theta.ndim == 2 else theta[None]
         inside = ch.interior(stack, margin)
         if not inside.all():
+            if stack.ndim != 2 or stack.shape[1] != ch.dim:
+                count = theta.shape[-1] if theta.ndim else 1
+                raise DomainError(
+                    f"theta={stack[0].tolist()} has {count} coordinate(s) "
+                    f"but chart {ch.name!r} of model {self.id!r} has "
+                    f"dimension {ch.dim}")
             raise DomainError(
                 f"theta={stack[np.argmin(inside)].tolist()} is not interior "
                 f"to the domain of chart {ch.name!r} of model {self.id!r}")

@@ -1,4 +1,4 @@
-"""Expectation, differentiation, and path-integral engines.
+"""Quadrature, differentiation, and path-integral engines.
 
 Expectations use Gauss-Hermite quadrature standardized by the model's own
 location/scale (continuous families) or truncated summation (discrete
@@ -7,10 +7,8 @@ polynomials times the standardizing Gaussian, so moderate node counts are
 exact to machine precision.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DomainError
@@ -131,16 +129,6 @@ def _stacked_nodes(model, theta_ref, quad):
     return xx, w * ratio
 
 
-def expect(model, theta, f, quad=None, chart=None):
-    """E_theta[f(X)] by quadrature (continuous) or truncated summation (discrete)."""
-    ch = model.require_interior(theta, chart)
-    x, w = sample_nodes(model, ch.to_reference(theta), quad)
-    vals = np.broadcast_to(np.asarray(f(x), dtype=float), w.shape)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("integrand is non-finite at a quadrature node")
-    return float(w @ vals)
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -220,54 +208,26 @@ def gradient(f, theta, diff: DiffSpec = None, domain=None):
 # ---------------------------------------------------------------------------
 # path integrals of 1-form fields
 
-@dataclass(frozen=True)
-class Path:
-    """Piecewise-linear path through parameter space, in one chart."""
-
-    waypoints: Sequence
-    steps: int = 256
-
-    def __post_init__(self):
-        pts = [np.asarray(p, dtype=float) for p in self.waypoints]
-        if len(pts) < 2:
-            raise ValueError("a path needs at least two waypoints")
-        object.__setattr__(self, "waypoints", pts)
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
-
-
 # 5-point Gauss-Legendre nodes and weights on [0, 1], for one subinterval
 _GL = np.polynomial.legendre.leggauss(5)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL[0] + 1.0), 0.5 * _GL[1]
 
 
-def _segment_terms(omega, starts, ends, steps):
-    """Quadrature terms of the integrals of ``omega`` over the straight
-    segments ``starts[s] -> ends[s]`` (both (S, m)): row s holds segment s's
-    terms in path order.  ``omega`` is called once, on all nodes."""
+def segment_integrals(omega, starts, ends, steps):
+    """Integrals (S,) of the 1-form ``omega`` over each straight segment
+    ``starts[s] -> ends[s]`` (both (S, m)), by composite 5-point
+    Gauss-Legendre on ``steps`` equal subintervals per segment.
+
+    ``omega`` maps a stack of points (K, m) to covectors (K, m); it is called
+    once, on the nodes of all segments.  Each segment's terms are added one
+    by one in path order.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
     starts = np.asarray(starts, dtype=float)
     span = np.asarray(ends, dtype=float) - starts
     frac = ((np.arange(steps)[:, None] + _GL_NODES) / steps).reshape(-1)
     nodes = starts[:, None, :] + frac[:, None] * span[:, None, :]
     phi = np.asarray(omega(nodes.reshape(-1, starts.shape[1]))).reshape(nodes.shape)
-    return np.tile(_GL_WEIGHTS, steps) * np.einsum("sni,si->sn", phi, span / steps)
-
-
-def line_integral(omega, path: Path):
-    """Integral of the 1-form ``omega`` along ``path``, by composite 5-point
-    Gauss-Legendre on each of ``path.steps`` subintervals per segment.
-
-    ``omega`` maps a stack of points (K, m) to covectors (K, m); it is called
-    once, on the nodes of the whole path.  The terms are added one by one in
-    path order.
-    """
-    terms = _segment_terms(omega, path.waypoints[:-1], path.waypoints[1:],
-                           path.steps)
-    return float(np.cumsum(terms)[-1])
-
-
-def segment_integrals(omega, starts, ends, steps):
-    """Integrals (S,) of ``omega`` over each straight segment
-    ``starts[s] -> ends[s]``, each by the rule of ``line_integral`` with
-    ``steps`` subintervals; ``omega`` is called once, on all nodes."""
-    return np.cumsum(_segment_terms(omega, starts, ends, steps), axis=1)[:, -1]
+    terms = np.tile(_GL_WEIGHTS, steps) * np.einsum("sni,si->sn", phi, span / steps)
+    return np.cumsum(terms, axis=1)[:, -1]

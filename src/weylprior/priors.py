@@ -11,9 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ClosednessError, GridError
-from .geometry import (closedness_residual, one_form_field, potential_omega,
-                       CLOSEDNESS_TOL)
+from .errors import GridError
+from .geometry import one_form_field, potential_omega
 from .models import ModelSpec
 from .numerics import segment_integrals
 from .tensors import fisher_metric, sqrt_det_metric
@@ -109,15 +108,6 @@ class PriorField:
             raise GridError("prior field values must be strictly positive and finite")
 
 
-def _check_closedness(model, points, chart, quad):
-    probe = points[len(points) // 2]
-    res = np.max(np.abs(closedness_residual(model, probe, chart, quad)))
-    if res > CLOSEDNESS_TOL:
-        raise ClosednessError(
-            f"Weyl 1-form not closed (residual {res:.3e}); "
-            "the alpha-parallel/Weyl prior does not exist for this family")
-
-
 def _chart_points(model, points, chart):
     """``points`` as an (N, m) array, each point interior to the chart."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -151,25 +141,23 @@ def _omega_exponent(model, kind, alpha, anchor):
 def _grid_omega(model, grid: GridSpec, anchor, quad):
     """Omega at every grid point (C order) by one sweep over the grid.
 
-    One potential_omega path runs from the anchor to the first grid point.
-    Every other point adds, to the value of its predecessor along its last
-    axis with a non-zero index, the integral of the Weyl 1-form over the
-    single axis edge between them.  The 1-form is evaluated at the
-    Gauss-Legendre nodes of all edges in one stacked call; the edge values
-    then accumulate by running sums along the grid axes.  The chart domains
-    of all families are convex (half-lines, intervals, the SPD cone), so an
-    edge between two interior grid points stays interior.
+    One potential_omega path runs from the anchor to the first grid point
+    and probes closedness.  Every other point adds, to the value of its
+    predecessor along its last axis with a non-zero index, the integral of
+    the Weyl 1-form over the single axis edge between them.  The 1-form is
+    evaluated at the Gauss-Legendre nodes of all edges in one stacked call;
+    the edge values then accumulate by running sums along the grid axes.
+    Chart domains are convex (see ``Chart``), so an edge between two
+    interior grid points stays interior.
     """
     pts = _chart_points(model, grid.points(), grid.chart)
-    _check_closedness(model, pts, grid.chart, quad)
     shape = grid.shape
     n = np.arange(1, len(pts))
     idx = np.array(np.unravel_index(n, shape)).T
     last = len(shape) - 1 - np.argmax(idx[:, ::-1] != 0, axis=1)
     strides = np.cumprod((1,) + shape[:0:-1])[::-1]
     omega = np.empty(len(pts))
-    omega[0] = potential_omega(model, pts[0], anchor, grid.chart, quad,
-                               check_closedness=False).omega
+    omega[0] = potential_omega(model, pts[0], anchor, grid.chart, quad).omega
     omega[1:] = segment_integrals(one_form_field(model, grid.chart, quad),
                                   pts[n - strides[last]], pts[n], EDGE_STEPS)
     # point n's value is its predecessor's plus its edge: running sums along
@@ -185,17 +173,14 @@ def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
                  chart=None, quad=None, omega=None):
     """Unnormalized prior density values at arbitrary chart points.
 
-    Omega comes from one potential_omega path per point, unless ``omega``
-    already holds its values at the points (the field builders pass their
-    grid sweep).
+    Omega comes from one stacked potential_omega call over all points,
+    unless ``omega`` already holds its values at the points (the field
+    builders pass their grid sweep).
     """
     points = _chart_points(model, points, chart)
     exponent = _omega_exponent(model, kind, alpha, anchor)
     if exponent is not None and omega is None:
-        _check_closedness(model, points, chart, quad)
-        omega = np.array([potential_omega(model, t, anchor, chart, quad,
-                                          check_closedness=False).omega
-                          for t in points])
+        omega = potential_omega(model, points, anchor, chart, quad).omega
     # one-row calls: one stacked call makes perfbench's jeffreys-posterior-poisson
     # round shorter than its host-speed sampling interval, which fails the
     # run (ROADMAP item 0)

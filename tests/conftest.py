@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weylprior import get_model
+from weylprior.numerics import sample_nodes
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +31,10 @@ def vech_theta(mu, sigma):
     n = sigma.shape[0]
     tri = [sigma[i, j] for i in range(n) for j in range(i, n)]
     return np.concatenate([np.asarray(mu, dtype=float), tri])
+
+
+def expect(model, theta, f):
+    """E_theta[f(X)] as the weighted sum w @ f(x) over the sample nodes of
+    the reference-chart point ``theta``."""
+    x, w = sample_nodes(model, np.asarray(theta, dtype=float))
+    return float(w @ f(x))

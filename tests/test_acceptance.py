@@ -14,7 +14,6 @@ from weylprior import (
     Axis,
     Dataset,
     GridSpec,
-    Path,
     amari_chentsov,
     fisher_metric,
     grid_posterior,
@@ -232,8 +231,8 @@ def test_09_posterior_sanity(g1):
 def test_10_gauge_invariance(g1):
     lam_scale = lambda t: np.log(t[..., 1])
     lam_shift = lambda t: t[..., 0]
-    r1 = gauge_rescale_check(g1, lam_scale, Path([[0.0, 1.0], [0.0, 4.0]]))
-    r2 = gauge_rescale_check(g1, lam_shift, Path([[0.0, 1.0], [2.0, 1.0]]))
+    r1 = gauge_rescale_check(g1, lam_scale, [0.0, 1.0], [0.0, 4.0], 256)
+    r2 = gauge_rescale_check(g1, lam_shift, [0.0, 1.0], [2.0, 1.0], 256)
     worst = max(r1, r2)
     report(10, "Weyl translation agrees across two gauge choices",
            worst, 1e-6, worst < 1e-6)

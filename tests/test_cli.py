@@ -1,9 +1,14 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylprior.cli import main
 from weylprior.priors import read_csv
@@ -78,6 +83,39 @@ class TestCheck:
                            "--fd-step", step)
         assert code == 2
         assert f"--fd-step {float(step)}" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_bad_path_steps_exit_2(self, capsys, steps):
+        code, out, err = run(capsys, "check", "--model", "gaussian1d",
+                             "--what", "gauge", "--theta", "0.5,1.5",
+                             f"--path-steps={steps}")
+        assert code == 2 and out == ""
+        assert f"--path-steps {steps}" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [
+        ("check", "--what", "duality", "--theta", "0.5,1.5"),
+        ("prior", "--kind", "alpha", "--anchor", "0,1",
+         "--grid", "mu=-1:1:3,s2=0.5:2:3", "--out", os.devnull),
+    ], ids=["check", "prior"])
+    def test_non_finite_alpha_exit_2(self, capsys, command, alpha):
+        code, out, err = run(capsys, command[0], "--model", "gaussian1d",
+                             *command[1:], f"--alpha={alpha}")
+        assert code == 2 and out == ""
+        assert f"--alpha {float(alpha)}" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("command,theta,count", [
+        (("tensor",), "0,1,2", 3),
+        (("check", "--what", "closedness"), "0,1,2", 3),
+        (("check", "--what", "gauge"), "0", 1),
+    ], ids=["tensor", "closedness", "gauge"])
+    def test_wrong_length_theta_names_coordinate_count(self, capsys, command,
+                                                       theta, count):
+        code, out, err = run(capsys, command[0], "--model", "gaussian1d",
+                             *command[1:], "--theta", theta)
+        assert code == 2 and out == ""
+        message = json.loads(err)["error"]
+        assert f"has {count} coordinate(s)" in message and "dimension 2" in message
 
     def test_fd_step_is_check_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -207,3 +245,68 @@ class TestVerifyAll:
         assert summary["checks"] == len(lines) - 1
         for line in lines[:-1]:
             assert json.loads(line)["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract for bad numeric input: exit 2, one JSON error object on
+# stderr, nothing on stdout
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+def _vector(values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+# gaussian1d points (mu, s2) that are not interior: a wrong coordinate count,
+# a non-finite coordinate, or s2 <= 0
+BAD_POINTS = st.one_of(
+    st.lists(FINITE, min_size=1, max_size=4).filter(lambda v: len(v) != 2),
+    st.tuples(FINITE, st.floats(max_value=0.0, allow_nan=False,
+                                allow_infinity=False)),
+    st.tuples(NON_FINITE, FINITE),
+    st.tuples(FINITE, NON_FINITE),
+).map(_vector)
+
+BAD_ALPHA = st.tuples(st.just("alpha"), NON_FINITE.map(repr))
+BAD_CASES = st.one_of(
+    st.tuples(st.just("check"), st.one_of(
+        BAD_ALPHA,
+        st.tuples(st.just("path-steps"), st.integers(max_value=0).map(str)),
+        st.tuples(st.just("theta"), BAD_POINTS))),
+    st.tuples(st.just("prior"), st.one_of(
+        BAD_ALPHA,
+        st.tuples(st.just("anchor"), BAD_POINTS))),
+)
+
+
+def _argv(command, flag, value, what):
+    """A valid ``check`` or ``prior`` invocation with one flag set to a bad
+    value; ``--flag=value`` keeps values such as -inf from reading as flags."""
+    if command == "check":
+        head = ["check", "--model", "gaussian1d", "--what", what]
+        flags = {"theta": "0.5,1.5", "alpha": "1", "path-steps": "8"}
+    else:
+        head = ["prior", "--model", "gaussian1d", "--kind", "alpha",
+                "--grid", "mu=-1:1:3,s2=0.5:2:3", "--out", os.devnull]
+        flags = {"anchor": "0,1", "alpha": "1"}
+    flags[flag] = value
+    return head + [f"--{k}={v}" for k, v in flags.items()]
+
+
+class TestBadInputContract:
+    @settings(max_examples=50, deadline=None)
+    @given(case=BAD_CASES,
+           what=st.sampled_from(["closedness", "duality", "gauge", "nabla-g"]))
+    def test_exit_2_with_one_json_error(self, case, what):
+        command, (flag, value) = case
+        argv = _argv(command, flag, value, what)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, argv
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from weylprior import (
-    Path,
     alpha_connection,
     levi_civita,
     potential_omega,
+    segment_integrals,
     weyl_connection,
     weyl_one_form,
 )
@@ -16,10 +16,10 @@ from weylprior.geometry import (
     duality_residual,
     gauge_rescale_check,
     nabla_g_identity_residual,
+    one_form_field,
     ricci_tensor,
     trace_identity_residual,
     weyl_compatibility_residual,
-    weyl_translate,
 )
 
 from conftest import vech_theta
@@ -166,23 +166,29 @@ class TestCurvatureAndResiduals:
         assert np.max(np.abs(trace_identity_residual(g1, [0.2, 0.8]))) < 1e-8
 
 
+def weyl_scale(model, waypoints):
+    """Scale factor exp(int phi) carrying a scalar product along the
+    polyline through ``waypoints``, 256 subintervals per segment."""
+    pts = np.asarray(waypoints, dtype=float)
+    ints = segment_integrals(one_form_field(model), pts[:-1], pts[1:], 256)
+    return float(np.exp(ints.sum()))
+
+
 class TestWeylTranslate:
     def test_known_scale(self, g1):
         # int phi along sigma^2: 1 -> e is exactly 3/2
-        val = weyl_translate(g1, Path([[0.0, 1.0], [0.0, np.e]]))
+        val = weyl_scale(g1, [[0.0, 1.0], [0.0, np.e]])
         assert val == pytest.approx(np.exp(1.5), rel=1e-5)
 
     def test_closed_loop_is_identity(self, g1):
-        loop = Path([[0.0, 1.0], [2.0, 1.0], [2.0, 3.0], [0.0, 3.0], [0.0, 1.0]])
-        assert weyl_translate(g1, loop) == pytest.approx(1.0, abs=1e-12)
+        loop = [[0.0, 1.0], [2.0, 1.0], [2.0, 3.0], [0.0, 3.0], [0.0, 1.0]]
+        assert weyl_scale(g1, loop) == pytest.approx(1.0, abs=1e-12)
 
     def test_gauge_rescale_invariance(self, g1):
         lam_scale = lambda t: np.log(t[..., 1])
-        path = Path([[0.0, 1.0], [0.0, 4.0]])
-        assert gauge_rescale_check(g1, lam_scale, path) < 1e-6
+        assert gauge_rescale_check(g1, lam_scale, [0.0, 1.0], [0.0, 4.0], 256) < 1e-6
         lam_mu = lambda t: t[..., 0]
-        path2 = Path([[0.0, 1.0], [2.0, 1.0]])
-        assert gauge_rescale_check(g1, lam_mu, path2) < 1e-6
+        assert gauge_rescale_check(g1, lam_mu, [0.0, 1.0], [2.0, 1.0], 256) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +247,7 @@ def reference_gradient(f, theta, diff=None, domain=None):
 
 def _contains(model, chart):
     ch = model.chart(chart)
-    return lambda t: ch.contains(t)
+    return lambda t: bool(ch.interior(np.asarray(t)[None])[0])
 
 
 def reference_metric_derivatives(model, theta, chart=None, diff=None):
@@ -485,3 +491,135 @@ class TestWorkCount:
         res, tol = cli.run_check(model, what, np.asarray(theta), alpha, path_steps=8)
         assert res < tol
         assert 1 <= len(calls) <= 4, calls
+
+
+# ---------------------------------------------------------------------------
+# Reference route for potentials: one straight-or-staircase polyline per
+# point, tested for interiority by probes, integrated by composite 5-point
+# Gauss-Legendre.  The stacked straight-segment potential must reproduce it
+# bitwise.
+
+from weylprior.errors import ClosednessError
+from weylprior.priors import Axis, GridSpec, prior_values, weyl_prior_field
+
+_REF_GL = np.polynomial.legendre.leggauss(5)
+_REF_NODES, _REF_WEIGHTS = 0.5 * (_REF_GL[0] + 1.0), 0.5 * _REF_GL[1]
+
+
+def reference_line_integral(omega, waypoints, steps):
+    a = np.asarray(waypoints[:-1], dtype=float)
+    span = np.asarray(waypoints[1:], dtype=float) - a
+    frac = ((np.arange(steps)[:, None] + _REF_NODES) / steps).reshape(-1)
+    nodes = a[:, None, :] + frac[:, None] * span[:, None, :]
+    phi = np.asarray(omega(nodes.reshape(-1, a.shape[1]))).reshape(nodes.shape)
+    terms = np.tile(_REF_WEIGHTS, steps) * np.einsum("sni,si->sn", phi, span / steps)
+    return float(np.cumsum(terms)[-1])
+
+
+def _staircase(anchor, theta):
+    pts = [np.asarray(anchor, dtype=float)]
+    cur = np.asarray(anchor, dtype=float).copy()
+    for i in range(len(cur)):
+        if cur[i] != theta[i]:
+            cur = cur.copy()
+            cur[i] = theta[i]
+            pts.append(cur)
+    if len(pts) == 1:
+        pts.append(np.asarray(theta, dtype=float))
+    return pts
+
+
+def _path_in_domain(waypoints, interior, probes=65):
+    a = np.asarray(waypoints[:-1], dtype=float)
+    span = np.asarray(waypoints[1:], dtype=float) - a
+    t = np.linspace(0.0, 1.0, probes)[:, None, None]
+    return bool(interior((a + t * span).reshape(-1, a.shape[1])).all())
+
+
+def reference_potential_omega(model, theta, anchor, chart=None, steps=24):
+    ch = model.chart(chart)
+    theta = np.asarray(theta, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
+    if np.array_equal(theta, anchor):
+        return 0.0
+    waypoints = [anchor, theta]
+    if not _path_in_domain(waypoints, ch.interior):
+        waypoints = _staircase(anchor, theta)
+        if not _path_in_domain(waypoints, ch.interior):
+            raise DomainError("no in-domain path")
+    mid = 0.5 * (anchor + theta)
+    if not _contains(model, chart)(mid):
+        mid = waypoints[min(1, len(waypoints) - 1)]
+    if np.max(np.abs(reference_closedness_residual(model, mid, chart))) > 1e-6:
+        raise ClosednessError("not closed")
+    return reference_line_integral(lambda t: reference_weyl_one_form(model, t, chart),
+                                   waypoints, steps)
+
+
+def _grid(*axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.reshape(-1) for m in mesh])
+
+
+POTENTIAL_CASES = [
+    ("gaussian1d", None, [0.0, 1.0],
+     _grid(np.linspace(-2.0, 2.0, 5), np.geomspace(0.25, 16.0, 5))),
+    ("gaussian1d", "mu_sigma", [0.0, 1.0],
+     _grid(np.linspace(-2.0, 2.0, 4), np.geomspace(0.5, 4.0, 4))),
+    ("gaussian1d", "natural", [0.0, -0.5],
+     _grid(np.linspace(-2.0, 2.0, 4), -np.geomspace(0.05, 2.0, 4))),
+    ("gaussian_mv:2", None, vech_theta([0.0, 0.0], np.eye(2)),
+     np.array([vech_theta([0.5, -0.5], [[2.0, 0.4], [0.4, 1.5]]),
+               vech_theta([0.0, 1.0], [[0.5, -0.2], [-0.2, 0.8]]),
+               vech_theta([-1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])])),
+    ("bernoulli", None, [0.5], np.array([[0.05], [0.3], [0.5], [0.9]])),
+    ("poisson", "natural", [0.0], np.array([[-2.0], [0.5], [3.0]])),
+]
+
+
+class TestStackedPotential:
+    @pytest.mark.parametrize("model_id,chart,anchor,points", POTENTIAL_CASES)
+    def test_stack_matches_reference_bitwise(self, model_id, chart, anchor, points):
+        model = get_model(model_id)
+        got = potential_omega(model, points, anchor, chart)
+        assert got.omega.shape == (len(points),)
+        want = np.array([reference_potential_omega(model, t, anchor, chart)
+                         for t in points])
+        assert np.array_equal(got.omega, want), np.max(np.abs(got.omega - want))
+        one = potential_omega(model, points[1], anchor, chart).omega
+        assert isinstance(one, float) and one == got.omega[1]
+
+    def test_outside_anchor_is_named(self, g1):
+        with pytest.raises(DomainError, match=r"anchor: theta=\[0\.0, -1\.0\] is not interior"):
+            potential_omega(g1, [[0.0, 1.0], [1.0, 2.0]], [0.0, -1.0])
+
+    def test_first_outside_theta_is_named(self, g1):
+        stack = [[0.0, 1.0], [1.0, -2.0], [0.0, -3.0]]
+        with pytest.raises(DomainError, match=r"theta=\[1\.0, -2\.0\] is not interior"):
+            potential_omega(g1, stack, [0.0, 1.0])
+
+
+class TestNotClosed:
+    @pytest.fixture
+    def open_form(self, monkeypatch):
+        # phi = (0, mu) on gaussian1d: d_mu phi_s - d_s phi_mu = 1
+        def weyl_one_form(model, theta, chart=None, quad=None):
+            t = np.asarray(theta, dtype=float)
+            phi = np.stack([np.zeros_like(t[..., 0]), t[..., 0]], axis=-1)
+            return geometry.OneFormSample(t, phi, "mu_sigma2")
+
+        monkeypatch.setattr(geometry, "weyl_one_form", weyl_one_form)
+
+    GRID = GridSpec((Axis("mu", -1.0, 1.0, 3), Axis("s2", 0.5, 2.0, 3)))
+
+    def test_potential_omega(self, g1, open_form):
+        with pytest.raises(ClosednessError, match="not closed"):
+            potential_omega(g1, [1.0, 2.0], [0.0, 1.0])
+
+    def test_prior_values(self, g1, open_form):
+        with pytest.raises(ClosednessError, match="not closed"):
+            prior_values(g1, self.GRID.points(), "weyl", anchor=[0.0, 1.0])
+
+    def test_weyl_prior_field(self, g1, open_form):
+        with pytest.raises(ClosednessError, match="not closed"):
+            weyl_prior_field(g1, self.GRID, [0.0, 1.0])

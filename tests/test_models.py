@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from weylprior import expect, get_model, log_density, score
+from weylprior import get_model, log_density, score
 from weylprior.errors import DomainError, InvalidConfigError, UnknownModelError
 from weylprior.models import vech_from_mat, vech_indices
 from weylprior.numerics import sample_nodes
 
-from conftest import vech_theta
+from conftest import expect, vech_theta
 
 
 def _fd_score(model, x, theta_ref, rel_step=1e-5):
@@ -183,3 +183,30 @@ class TestInvariants:
             rebuilt[i, j] = val
             rebuilt[j, i] = val
         np.testing.assert_array_equal(rebuilt, sym)
+
+
+def _interior_draws(chart, rng, count):
+    """``count`` interior points of ``chart``: coordinates of either sign on
+    scales from 1e-6 to 10, kept if the point is interior."""
+    out = np.empty((0, chart.dim))
+    while len(out) < count:
+        size = (4 * count, chart.dim)
+        t = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-6.0, 1.0, size)
+        out = np.vstack([out, t[chart.interior(t)]])
+    return out[:count]
+
+
+class TestChartConvexity:
+    # potentials and grid sweeps integrate along straight segments without
+    # testing that they stay interior, which holds only on convex domains
+    @pytest.mark.parametrize("model_id", ["gaussian1d", "gaussian_mv:2",
+                                          "bernoulli", "poisson"])
+    def test_segments_between_interior_points_stay_interior(self, model_id):
+        model = get_model(model_id)
+        rng = np.random.default_rng(7)
+        s = np.linspace(0.0, 1.0, 65)[:, None, None]
+        for chart in model.charts.values():
+            a = _interior_draws(chart, rng, 200)
+            b = _interior_draws(chart, rng, 200)
+            probes = (a + s * (b - a)).reshape(-1, chart.dim)
+            assert chart.interior(probes).all(), chart.name

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from weylprior import DiffSpec, Path, QuadratureSpec, expect, line_integral
+from weylprior import DiffSpec, QuadratureSpec, segment_integrals
 from weylprior.errors import DomainError
 from weylprior.numerics import gauss_hermite_nodes, gradient, sample_nodes
 
-from conftest import vech_theta
+from conftest import expect, vech_theta
 
 
 class TestQuadrature:
@@ -158,20 +158,19 @@ class TestFiniteDifferences:
 
 class TestPathIntegrals:
     def test_path_validation(self):
-        with pytest.raises(ValueError):
-            Path([[0.0, 0.0]])
-        with pytest.raises(ValueError):
-            Path([[0.0], [1.0]], steps=0)
+        with pytest.raises(ValueError, match="steps"):
+            segment_integrals(np.exp, [[0.0]], [[1.0]], 0)
 
     def test_exact_form(self):
-        # omega = d(x y): integral depends only on endpoints
+        # omega = d(x y): integral depends only on endpoints, here summed over
+        # the two segments of a polyline
         omega = lambda t: t[:, ::-1]
-        p = Path([[0.0, 0.0], [2.0, 0.5], [1.0, 3.0]])
-        assert line_integral(omega, p) == pytest.approx(3.0, abs=1e-12)
+        pts = np.array([[0.0, 0.0], [2.0, 0.5], [1.0, 3.0]])
+        val = segment_integrals(omega, pts[:-1], pts[1:], 256).sum()
+        assert val == pytest.approx(3.0, abs=1e-12)
 
     def test_gauss_near_machine(self):
-        omega = np.exp
-        val = line_integral(omega, Path([[0.0], [1.0]], steps=4))
+        val = segment_integrals(np.exp, [[0.0]], [[1.0]], 4)[0]
         assert val == pytest.approx(np.e - 1.0, abs=1e-13)
 
     # 5 Gauss-Legendre nodes per subinterval
@@ -184,6 +183,6 @@ class TestPathIntegrals:
             shapes.append(t.shape)
             return t[:, ::-1]
 
-        p = Path([[0.0, 0.0], [2.0, 0.5], [1.0, 3.0]], steps=7)
-        line_integral(omega, p)
+        pts = np.array([[0.0, 0.0], [2.0, 0.5], [1.0, 3.0]])
+        segment_integrals(omega, pts[:-1], pts[1:], 7)
         assert shapes == [(2 * 7 * per_step, 2)]
