@@ -16,10 +16,10 @@ import sys
 import numpy as np
 
 from . import bayes, geometry, priors
-from .errors import InvalidConfigError, WeylPriorError
+from .errors import DomainError, InvalidConfigError, WeylPriorError
 from .models import get_model
 from .numerics import DiffSpec, QuadratureSpec
-from .tensors import amari_chentsov, fisher_metric
+from .tensors import metric_and_cubic
 
 CHECK_TOLERANCES = {
     "closedness": 1e-6,
@@ -67,10 +67,10 @@ def _parse_grid(text, chart_name):
 def _quad(args):
     if args.quad_nodes is None:
         return None
-    if args.quad_nodes < 2:
-        raise InvalidConfigError(
-            f"--quad-nodes {args.quad_nodes}: need at least 2 quadrature nodes")
-    return QuadratureSpec(args.quad_nodes)
+    try:
+        return QuadratureSpec(args.quad_nodes)
+    except ValueError as exc:
+        raise InvalidConfigError(f"--quad-nodes {args.quad_nodes}: {exc}") from None
 
 
 def _diff(args):
@@ -109,9 +109,7 @@ def _emit(payload, out=None):
 def cmd_tensor(args):
     model = get_model(args.model)
     theta = _parse_theta(args.theta)
-    quad = _quad(args)
-    g = fisher_metric(model, theta, args.chart, quad)
-    c = amari_chentsov(model, theta, args.chart, quad)
+    g, c = metric_and_cubic(model, theta, args.chart, _quad(args))
     _emit({"g": g.g.tolist(), "C": c.C.tolist(),
            "theta": theta.tolist(), "chart": g.chart}, args.out)
     return 0
@@ -172,30 +170,35 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
-def cmd_prior(args):
-    model = get_model(args.model)
-    chart = args.chart
-    grid = _parse_grid(args.grid, chart)
+def _prior_field(model, args, kind, normalize=False):
+    """The ``kind`` prior field over ``--grid``, from the prior flags."""
+    grid = _parse_grid(args.grid, args.chart)
     anchor = _parse_theta(args.anchor) if args.anchor else None
     quad = _quad(args)
     alpha = _alpha(args)
-    if args.kind == "jeffreys":
-        field = priors.jeffreys_field(model, grid, quad, normalize=args.normalize)
-    elif args.kind == "alpha":
+    if kind == "jeffreys":
+        return priors.jeffreys_field(model, grid, quad, normalize=normalize)
+    if kind == "alpha":
         if alpha is None:
-            raise WeylPriorError("--kind alpha requires --alpha")
-        field = priors.alpha_prior_field(model, grid, alpha, anchor, quad,
-                                         normalize=args.normalize)
-    else:
-        field = priors.weyl_prior_field(model, grid, anchor, quad,
-                                        normalize=args.normalize)
-    priors.write_csv(field, args.out)
+            raise WeylPriorError("an alpha prior requires --alpha")
+        return priors.alpha_prior_field(model, grid, alpha, anchor, quad,
+                                        normalize=normalize)
+    return priors.weyl_prior_field(model, grid, anchor, quad, normalize=normalize)
+
+
+def cmd_prior(args):
+    model = get_model(args.model)
+    priors.write_csv(_prior_field(model, args, args.kind, args.normalize), args.out)
     return 0
 
 
 def _demo_observations(model, theta, n, seed):
     if model.id != "gaussian1d":
         raise WeylPriorError("demo data generation is implemented for gaussian1d")
+    try:
+        model.require_interior(theta)
+    except DomainError as exc:
+        raise InvalidConfigError(f"--demo-theta: {exc}") from None
     rng = np.random.default_rng(seed)
     mu, s2 = theta
     return bayes.Dataset(rng.normal(mu, np.sqrt(s2), size=n), source="demo")
@@ -203,30 +206,29 @@ def _demo_observations(model, theta, n, seed):
 
 def cmd_posterior(args):
     model = get_model(args.model)
+    if args.grid is None:
+        raise WeylPriorError("posterior needs --grid (with --prior-file, to "
+                             "recover cell volumes)")
     if args.prior_file:
         names, pts, values = priors.read_csv(args.prior_file)
-        if args.grid is None:
-            raise WeylPriorError("--prior-file also needs --grid to recover cell volumes")
         grid = _parse_grid(args.grid, args.chart)
         if not np.allclose(grid.points(), pts):
             raise WeylPriorError("--grid does not match the points in --prior-file")
-        field = priors.PriorField(pts, values, "jeffreys",
+        field = priors.PriorField(pts, values, "loaded",
                                   args.chart or model.reference, grid=grid)
     else:
-        grid = _parse_grid(args.grid, args.chart)
-        anchor = _parse_theta(args.anchor) if args.anchor else None
-        if args.prior_kind == "jeffreys":
-            field = priors.jeffreys_field(model, grid, _quad(args))
-        elif args.prior_kind == "alpha":
-            field = priors.alpha_prior_field(model, grid, _alpha(args), anchor,
-                                             _quad(args))
-        else:
-            field = priors.weyl_prior_field(model, grid, anchor, _quad(args))
+        field = _prior_field(model, args, args.prior_kind)
     if args.data:
         data = bayes.load_observations(args.data, model)
-    elif args.demo_n:
+    elif args.demo_n is not None:
+        if args.demo_n < 1:
+            raise InvalidConfigError(
+                f"--demo-n {args.demo_n}: need at least 1 observation")
         if args.seed is None:
             raise WeylPriorError("demo data needs an explicit --seed")
+        if args.seed < 0:
+            raise InvalidConfigError(
+                f"--seed {args.seed}: need a non-negative integer")
         data = _demo_observations(model, _parse_theta(args.demo_theta),
                                   args.demo_n, args.seed)
     else:

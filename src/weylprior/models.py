@@ -122,7 +122,10 @@ class ModelSpec:
     reference: str
     log_density: Callable           # (x, theta_ref) -> (q,)
     analytic_score: Callable        # (x, theta_ref) -> (q, m)
-    standardize: Optional[Callable] = None     # theta_ref -> (mean (d,), chol (d, d))
+    # continuous families only, which must be Gaussian in x: theta_ref ->
+    # (mean (d,), chol (d, d)) of the family's own law; quadrature reads the
+    # law from these alone, never from log_density
+    standardize: Optional[Callable] = None
     log_partition: dict = field(default_factory=dict)  # chart name -> callable
 
     def chart(self, name=None):
@@ -289,6 +292,11 @@ def _gaussian_mv(n):
             sig[..., j, i] = t[..., n + k]
         return t[..., :n], sig
 
+    def samples(x):
+        # as (..., q, n); samples of a 1-D space carry no trailing axis
+        x = np.asarray(x, dtype=float)
+        return x[..., None] if n == 1 else np.atleast_2d(x)
+
     def is_spd(a):
         try:
             np.linalg.cholesky(a)
@@ -311,7 +319,7 @@ def _gaussian_mv(n):
 
     def logp(x, t):
         mu, sig = split(t)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = samples(x)
         L = np.linalg.cholesky(sig)
         z = np.linalg.solve(L, np.swapaxes(x - mu[..., None, :], -1, -2))  # (..., n, q)
         logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
@@ -319,7 +327,7 @@ def _gaussian_mv(n):
 
     def sc(x, t):
         mu, sig = split(t)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = samples(x)
         p = np.linalg.inv(sig)
         z = (x - mu[..., None, :]) @ p         # (..., q, n), = Sigma^{-1}(x-mu)
         # dl/dSigma as a matrix

@@ -1,10 +1,12 @@
 """Quadrature, differentiation, and path-integral engines.
 
-Expectations use Gauss-Hermite quadrature standardized by the model's own
-location/scale (continuous families) or truncated summation (discrete
-families).  All integrands occurring in the tensor computations are
-polynomials times the standardizing Gaussian, so moderate node counts are
-exact to machine precision.
+Expectations E_theta[f(X)] use Gauss-Hermite quadrature on the model's own
+law (continuous families) or truncated summation (discrete families).  Every
+continuous family is Gaussian in x, and ``ModelSpec.standardize`` returns the
+mean and Cholesky factor of that law, so whitened Gauss-Hermite nodes and
+their plain weights realize the expectation.  All integrands occurring in the
+tensor computations are polynomials in x, so moderate node counts are exact
+to machine precision.
 """
 
 from dataclasses import dataclass
@@ -12,10 +14,13 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import DomainError
-from .models import LOG_2PI, ModelSpec
+from .models import ModelSpec
 
 DEFAULT_NODES_1D = 64
 DEFAULT_NODES_ND = 32
+# the largest count for which NumPy's hermgauss gives finite, positive weights
+# (from 371 nodes its weights overflow to NaN)
+MAX_NODES = 370
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < 2:
             raise ValueError("need at least 2 quadrature nodes")
+        if self.nodes > MAX_NODES:
+            raise ValueError(f"at most {MAX_NODES} quadrature nodes give finite "
+                             f"Gauss-Hermite weights")
 
 
 def default_quadrature(model):
@@ -45,15 +53,6 @@ def _node_grid(k, dim):
     grid.flags.writeable = False
     wts.flags.writeable = False
     return grid, wts
-
-
-@lru_cache(maxsize=8)
-def _log_std_normal(k, dim):
-    """log N(z; 0, I) at the nodes of ``_node_grid(k, dim)``."""
-    z = _node_grid(k, dim)[0]
-    out = -0.5 * (dim * LOG_2PI + np.sum(z * z, axis=1))
-    out.flags.writeable = False
-    return out
 
 
 def gauss_hermite_nodes(k, dim=1):
@@ -82,10 +81,11 @@ def nodes_per_point(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
 def sample_nodes(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
     """Sample points and probability weights realizing E_theta[.].
 
-    Continuous models: Gauss-Hermite after whitening by the model's
-    location/Cholesky hint, with an importance correction by the density
-    ratio (identically 1 for Gaussian families).  Discrete models: the
-    truncated support with its probability masses.
+    Continuous models: Gauss-Hermite nodes whitened by the mean and
+    Cholesky factor that ``model.standardize`` gives for the family's own
+    Gaussian law, with the plain Gauss-Hermite weights; the density is not
+    read.  Discrete models: the truncated support with its probability
+    masses.
 
     ``theta_ref`` is one reference-chart point (m,), giving points (q,) or
     (q, d) and weights (q,), or a stack (P, m), giving points (P, q) or
@@ -113,20 +113,12 @@ def _stacked_nodes(model, theta_ref, quad):
     if quad is None:
         quad = default_quadrature(model)
     mean, chol = model.standardize(theta_ref)        # (P, d), (P, d, d)
-    d = space.dim
-    z, w = gauss_hermite_nodes(quad.nodes, d)
+    z, w = gauss_hermite_nodes(quad.nodes, space.dim)
     x = mean[:, None, :] + z @ np.swapaxes(chol, 1, 2)
-    # ratio p(x|theta) / N(x; mean, chol chol^T); exact 1 for Gaussians
-    logdet = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    log_q = _log_std_normal(quad.nodes, d) - logdet[:, None]
-    xx = x[..., 0] if d == 1 else x
-    ratio = np.exp(model.log_density(xx, theta_ref) - log_q)
-    if not np.isfinite(ratio).all():
-        finite = np.isfinite(ratio).all(axis=1)
-        raise DomainError(
-            f"non-finite density ratio at a quadrature node at reference-chart "
-            f"theta={theta_ref[np.argmin(finite)].tolist()}")
-    return xx, w * ratio
+    # a C-ordered copy per point, not a stride-0 view: einsum's summation
+    # order follows memory layout (see ``kernels``)
+    w = np.repeat(w[None], len(theta_ref), axis=0)
+    return (x[..., 0] if space.dim == 1 else x), w
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ class GridSpec:
 class PriorField:
     points: np.ndarray
     values: np.ndarray
-    kind: str                          # "jeffreys" | "alpha" | "weyl"
+    kind: str                  # "jeffreys" | "alpha" | "weyl", or "loaded" from a CSV
     chart: str
     grid: Optional[GridSpec] = None
     alpha: Optional[float] = None
@@ -252,20 +252,20 @@ def reparam_transform(field: PriorField, model: ModelSpec, target_chart):
     """Push a density field to another chart: omega' = omega |det dtheta/dtheta'|."""
     src = model.chart(field.chart)
     tgt = model.chart(target_chart)
-    new_pts = np.empty_like(field.points)
-    new_vals = np.empty_like(field.values)
-    for k, t_src in enumerate(field.points):
-        t_ref = src.to_reference(t_src)
-        t_tgt = tgt.from_reference(t_ref)
-        # d theta_src / d theta_tgt = (d src/d ref) (d ref/d tgt)
-        j = np.linalg.solve(src.jacobian(t_src), tgt.jacobian(t_tgt))
-        det = np.linalg.det(j)
-        if det == 0 or not np.isfinite(det):
-            raise GridError(f"singular chart Jacobian at {t_tgt.tolist()}")
-        new_pts[k] = t_tgt
-        new_vals[k] = field.values[k] * abs(det)
-    return PriorField(new_pts, new_vals, field.kind, tgt.name, grid=None,
-                      alpha=field.alpha, anchor=field.anchor)
+    new_pts = tgt.from_reference(src.to_reference(field.points))
+    jac = src.jacobian(field.points)
+    try:
+        # d theta_src / d theta_tgt = (d src/d ref)^-1 (d ref/d tgt)
+        det = np.linalg.det(np.linalg.solve(jac, tgt.jacobian(new_pts)))
+        bad = (det == 0) | ~np.isfinite(det)
+    except np.linalg.LinAlgError:
+        # solve meets an exact zero pivot, and det then reads 0 (or NaN)
+        bad = ~(np.abs(np.linalg.det(jac)) > 0)
+    if bad.any():
+        raise GridError(
+            f"singular chart Jacobian at {new_pts[np.argmax(bad)].tolist()}")
+    return PriorField(new_pts, field.values * np.abs(det), field.kind, tgt.name,
+                      grid=None, alpha=field.alpha, anchor=field.anchor)
 
 
 # ---------------------------------------------------------------------------

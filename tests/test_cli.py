@@ -51,6 +51,25 @@ class TestTensor:
         assert code == 2
         assert "--quad-nodes 1" in json.loads(err)["error"]
 
+    # from 371 nodes NumPy's Gauss-Hermite weights are NaN, and 100000 nodes
+    # would ask for a 74.5 GiB array; both are refused before any node table
+    @pytest.mark.parametrize("nodes", ["371", "100000"])
+    @pytest.mark.parametrize("command", [
+        ("tensor",), ("check", "--what", "closedness")], ids=["tensor", "check"])
+    def test_too_many_quad_nodes_exit_2(self, capsys, command, nodes):
+        code, out, err = run(capsys, command[0], "--model", "gaussian1d",
+                             *command[1:], "--theta", "0.5,1.5",
+                             "--quad-nodes", nodes)
+        assert code == 2 and out == ""
+        assert f"--quad-nodes {nodes}" in json.loads(err)["error"]
+
+    def test_max_quad_nodes_works(self, capsys):
+        code, out, _ = run(capsys, "tensor", "--model", "gaussian1d",
+                           "--theta", "0,1", "--quad-nodes", "370")
+        assert code == 0
+        np.testing.assert_allclose(json.loads(out)["g"], [[1.0, 0.0], [0.0, 0.5]],
+                                   atol=1e-12)
+
     def test_unknown_model_exit_2(self, capsys):
         code, _, err = run(capsys, "tensor", "--model", "weibull",
                            "--theta", "1,1")
@@ -97,7 +116,9 @@ class TestCheck:
         ("check", "--what", "duality", "--theta", "0.5,1.5"),
         ("prior", "--kind", "alpha", "--anchor", "0,1",
          "--grid", "mu=-1:1:3,s2=0.5:2:3", "--out", os.devnull),
-    ], ids=["check", "prior"])
+        ("posterior", "--prior-kind", "jeffreys", "--demo-n", "5",
+         "--seed", "1", "--grid", "mu=-1:1:3,s2=0.5:2:3", "--out", os.devnull),
+    ], ids=["check", "prior", "posterior"])
     def test_non_finite_alpha_exit_2(self, capsys, command, alpha):
         code, out, err = run(capsys, command[0], "--model", "gaussian1d",
                              *command[1:], f"--alpha={alpha}")
@@ -143,6 +164,19 @@ class TestPrior:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, *args, "--out", str(a))
         run(capsys, *args, "--out", str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ("prior", "--kind", "weyl", "--anchor", "0,1"),
+        ("posterior", "--prior-kind", "weyl", "--anchor", "0,1",
+         "--demo-n", "20", "--seed", "4"),
+    ], ids=["prior", "posterior"])
+    def test_weyl_runs_byte_identical(self, capsys, tmp_path, args):
+        args = args[:1] + ("--model", "gaussian1d",
+                           "--grid", "mu=-1:1:3,s2=0.5:2:3") + args[1:]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(capsys, *args, "--out", str(a))[0] == 0
+        assert run(capsys, *args, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_alpha_requires_alpha(self, capsys, tmp_path):
@@ -191,6 +225,30 @@ class TestPosterior:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "seed" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--demo-n=-5", "--seed", "1"), "--demo-n -5"),
+        (("--demo-n", "0", "--seed", "1"), "--demo-n 0"),
+        (("--demo-n", "10", "--seed=-1"), "--seed -1"),
+        (("--demo-n", "10", "--seed", "1", "--demo-theta", "1,-2"),
+         "--demo-theta"),
+        (("--demo-n", "10", "--seed", "1", "--demo-theta", "1"),
+         "--demo-theta"),
+    ], ids=["negative-n", "zero-n", "negative-seed", "outside", "short"])
+    def test_bad_demo_flags_exit_2(self, capsys, tmp_path, flags, message):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "posterior", "--model", "gaussian1d",
+                             "--grid", self.GRID, *flags, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert message in json.loads(err)["error"]
+        assert not out_path.exists()
+
+    def test_needs_grid_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "posterior", "--model", "gaussian1d",
+                           "--demo-n", "10", "--seed", "1",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "--grid" in json.loads(err)["error"]
 
     def test_prior_file_round_trip(self, capsys, tmp_path):
         prior_path = tmp_path / "prior.csv"

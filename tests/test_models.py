@@ -116,6 +116,18 @@ class TestScore:
                                    _fd_score(mv2, x, th)[0],
                                    rtol=1e-6, atol=1e-7)
 
+    def test_mv1_matches_gaussian1d(self, g1):
+        # gaussian_mv:1 is gaussian1d in the same (mu, sigma^2) coordinates;
+        # both take the samples of a 1-D space without a trailing axis
+        mv1 = get_model("gaussian_mv:1")
+        theta = np.array([[0.7, 2.3], [-1.0, 0.4]])
+        x = np.array([[1.9, -0.3, 0.0], [2.0, 0.5, -4.0]])
+        np.testing.assert_allclose(mv1.log_density(x, theta),
+                                   g1.log_density(x, theta), rtol=1e-14)
+        np.testing.assert_allclose(mv1.score_ref(x, theta),
+                                   g1.score_ref(x, theta), rtol=1e-13, atol=1e-15)
+        assert log_density(mv1, 1.9, theta[0]) == log_density(g1, 1.9, theta[0])
+
 
 class TestInvariants:
     @pytest.mark.parametrize("model_id,thetas", [

@@ -4,9 +4,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg, stats
 
-from weylprior import DiffSpec, QuadratureSpec, segment_integrals
+from weylprior import DiffSpec, QuadratureSpec, get_model, segment_integrals
 from weylprior.errors import DomainError
 from weylprior.numerics import gauss_hermite_nodes, gradient, sample_nodes
 
@@ -76,6 +78,54 @@ class TestQuadrature:
 
     def test_bernoulli_mean(self, bern):
         assert expect(bern, [0.37], lambda x: x) == pytest.approx(0.37, abs=1e-14)
+
+
+# every continuous family ``get_model`` builds, with a strategy for interior
+# reference-chart points: mu, then vech of Sigma = L L^T for a lower
+# triangular L with a diagonal bounded away from 0
+COORD = st.floats(-3.0, 3.0, allow_nan=False)
+SCALE = st.floats(0.3, 3.0, allow_nan=False)
+
+
+@st.composite
+def mv_points(draw, n):
+    mu = draw(st.lists(COORD, min_size=n, max_size=n))
+    chol = np.diag(draw(st.lists(SCALE, min_size=n, max_size=n)))
+    for i in range(n):
+        for j in range(i):
+            chol[i, j] = draw(COORD)
+    sigma = chol @ chol.T
+    return np.concatenate([mu, [sigma[i, j] for i in range(n) for j in range(i, n)]])
+
+
+CONTINUOUS_POINTS = st.one_of(
+    st.tuples(st.just("gaussian1d"), st.tuples(COORD, SCALE).map(np.array)),
+    *[st.tuples(st.just(f"gaussian_mv:{n}"), mv_points(n)) for n in (1, 2, 3)],
+)
+
+
+class TestOwnLaw:
+    """Continuous families are integrated on their own law: the quadrature
+    weights are plain Gauss-Hermite weights, so ``standardize`` must return
+    the mean and Cholesky factor of the family's density."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=CONTINUOUS_POINTS)
+    def test_density_is_the_standardized_gaussian(self, case):
+        model_id, theta = case
+        model = get_model(model_id)
+        assert model.sample_space.kind == "continuous"
+        x, w = sample_nodes(model, theta, QuadratureSpec(8))
+        mean, chol = model.standardize(theta[None])
+        mean, chol = mean[0], chol[0]
+        x2 = x.reshape(len(x), -1)
+        z = linalg.solve_triangular(chol, (x2 - mean).T, lower=True)
+        d = len(mean)
+        want = -0.5 * (d * np.log(2.0 * np.pi) + np.sum(z * z, axis=0)) \
+            - np.log(np.diag(chol)).sum()
+        got = model.log_density(x[None], theta[None])[0]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(w, gauss_hermite_nodes(8, d)[1])
 
 
 class TestFiniteDifferences:

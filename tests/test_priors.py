@@ -1,5 +1,6 @@
 """Prior fields: Jeffreys, alpha-parallel, Weyl, reparametrization, CSV."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from weylprior import (
 from weylprior import geometry
 from weylprior.errors import GridError
 from weylprior.numerics import QuadratureSpec
-from weylprior.priors import read_csv, reparam_transform, write_csv
+from weylprior.priors import PriorField, read_csv, reparam_transform, write_csv
 
 from conftest import vech_theta
 
@@ -230,6 +231,44 @@ class TestReparam:
         moved = reparam_transform(field, g1, "mu_sigma")
         assert moved.points[0, 1] == pytest.approx(2.0)
         assert moved.values[0] == pytest.approx(field.values[0] * 4.0, rel=1e-12)
+
+    @staticmethod
+    def reference_reparam(field, model, target_chart):
+        """``reparam_transform`` one point at a time: the reference."""
+        src, tgt = model.chart(field.chart), model.chart(target_chart)
+        pts, vals = np.empty_like(field.points), np.empty_like(field.values)
+        for k, t_src in enumerate(field.points):
+            pts[k] = tgt.from_reference(src.to_reference(t_src))
+            j = np.linalg.solve(src.jacobian(t_src), tgt.jacobian(pts[k]))
+            vals[k] = field.values[k] * abs(np.linalg.det(j))
+        return pts, vals
+
+    @pytest.mark.parametrize("src,tgt", [("mu_sigma2", "natural"),
+                                         ("natural", "mu_sigma"),
+                                         ("mu_sigma", "mu_sigma2")])
+    def test_matches_per_point_loop_bitwise(self, g1, src, tgt):
+        pts = g1.chart(src).from_reference(
+            GridSpec((Axis("mu", -2.0, 2.0, 11),
+                      Axis("s2", 0.25, 16.0, 11, "log"))).points())
+        field = PriorField(pts, 1.0 + pts[:, 1] ** 2, "weyl", src)
+        moved = reparam_transform(field, g1, tgt)
+        want_pts, want_vals = self.reference_reparam(field, g1, tgt)
+        assert np.array_equal(moved.points, want_pts)
+        assert np.array_equal(moved.values, want_vals)
+
+    @pytest.mark.parametrize("src,tgt,pts,bad", [
+        # d(mu, s2)/d(eta) underflows to a singular matrix at eta2 = -1e200
+        ("natural", "mu_sigma2", [[0.0, -1.0], [0.0, -1e200], [0.0, -1e300]],
+         [0.0, 5e-201]),
+        # d(mu, s2)/d(eta) overflows at s2 = 1e200, eta2 = -5e-201
+        ("mu_sigma2", "natural", [[0.0, 1.0], [0.0, 1e200], [0.0, 1e300]],
+         [0.0, -5e-201]),
+    ], ids=["singular-source", "infinite-target"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_singular_jacobian_names_first_point(self, g1, src, tgt, pts, bad):
+        field = PriorField(np.array(pts), np.ones(len(pts)), "jeffreys", src)
+        with pytest.raises(GridError, match=re.escape(f"at {bad}")):
+            reparam_transform(field, g1, tgt)
 
 
 class TestCSV:
