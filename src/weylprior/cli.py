@@ -18,7 +18,7 @@ import numpy as np
 from . import bayes, geometry, priors
 from .errors import DomainError, InvalidConfigError, WeylPriorError
 from .models import get_model
-from .numerics import DiffSpec, QuadratureSpec
+from .numerics import MAX_GRID_NODES, DiffSpec, QuadratureSpec
 from .tensors import metric_and_cubic
 
 CHECK_TOLERANCES = {
@@ -64,13 +64,22 @@ def _parse_grid(text, chart_name):
     return priors.GridSpec(tuple(axes), chart=chart_name)
 
 
-def _quad(args):
+def _quad(args, model):
+    """The --quad-nodes rule, or None.  A rule whose tensor grid over the
+    model's sample dimensions exceeds MAX_GRID_NODES nodes per point is
+    refused here, before any node table is built."""
     if args.quad_nodes is None:
         return None
     try:
-        return QuadratureSpec(args.quad_nodes)
+        quad = QuadratureSpec(args.quad_nodes)
     except ValueError as exc:
         raise InvalidConfigError(f"--quad-nodes {args.quad_nodes}: {exc}") from None
+    d = model.sample_space.dim
+    if model.sample_space.kind == "continuous" and quad.nodes ** d > MAX_GRID_NODES:
+        raise InvalidConfigError(
+            f"--quad-nodes {quad.nodes}: {quad.nodes}^{d} = {quad.nodes ** d} "
+            f"nodes per point for model {model.id!r}; at most {MAX_GRID_NODES}")
+    return quad
 
 
 def _diff(args):
@@ -109,9 +118,10 @@ def _emit(payload, out=None):
 def cmd_tensor(args):
     model = get_model(args.model)
     theta = _parse_theta(args.theta)
-    g, c = metric_and_cubic(model, theta, args.chart, _quad(args))
-    _emit({"g": g.g.tolist(), "C": c.C.tolist(),
-           "theta": theta.tolist(), "chart": g.chart}, args.out)
+    met, c = metric_and_cubic(model, theta, args.chart, _quad(args, model))
+    _emit({"g": met.g.tolist(), "C": c.tolist(),
+           "theta": theta.tolist(), "chart": model.chart(args.chart).name},
+          args.out)
     return 0
 
 
@@ -162,8 +172,8 @@ def cmd_check(args):
     theta = _parse_theta(args.theta)
     model.require_interior(theta, args.chart)
     res, tol = run_check(model, args.what, theta, alpha=_alpha(args),
-                         chart=args.chart, quad=_quad(args), diff=_diff(args),
-                         path_steps=_path_steps(args))
+                         chart=args.chart, quad=_quad(args, model),
+                         diff=_diff(args), path_steps=_path_steps(args))
     ok = res < tol
     _emit({"check": args.what, "theta": theta.tolist(), "max_residual": res,
            "tolerance": tol, "pass": bool(ok)}, args.out)
@@ -174,7 +184,7 @@ def _prior_field(model, args, kind, normalize=False):
     """The ``kind`` prior field over ``--grid``, from the prior flags."""
     grid = _parse_grid(args.grid, args.chart)
     anchor = _parse_theta(args.anchor) if args.anchor else None
-    quad = _quad(args)
+    quad = _quad(args, model)
     alpha = _alpha(args)
     if kind == "jeffreys":
         return priors.jeffreys_field(model, grid, quad, normalize=normalize)
@@ -263,7 +273,7 @@ def _test_points(model):
 
 def cmd_verify_all(args):
     model = get_model(args.model)
-    quad = _quad(args)
+    quad = _quad(args, model)
     failures = 0
     results = []
 

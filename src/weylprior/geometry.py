@@ -27,34 +27,10 @@ POTENTIAL_STEPS = 24
 
 
 @dataclass(frozen=True)
-class ConnectionCoefficients:
-    at: np.ndarray
-    gamma: np.ndarray          # gamma[..., i, j, k] = Gamma^i_{jk}
-    kind: str                  # "levi_civita" | "alpha(a)" | "weyl"
-    chart: str
-
-
-@dataclass(frozen=True)
-class OneFormSample:
-    at: np.ndarray
-    phi: np.ndarray
-    chart: str
-
-
-@dataclass(frozen=True)
-class PotentialValue:
-    at: np.ndarray
-    anchor: np.ndarray
-    omega: object              # float at one point, (P,) over a stack
-
-
-@dataclass(frozen=True)
 class _Bundle:
     """The tensors every connection and residual is built from, at one point
     (m,) or a stack (P, m); arrays carry the point axis first."""
 
-    at: np.ndarray
-    chart: str
     g: np.ndarray
     ginv: np.ndarray
     C: np.ndarray
@@ -63,8 +39,8 @@ class _Bundle:
     lc: np.ndarray             # Levi-Civita Gamma^i_jk
 
 
-def _phi(cub, ginv):
-    return 0.5 * np.einsum("...ijk,...jk->...i", cub.C, ginv)
+def _phi(c, ginv):
+    return 0.5 * np.einsum("...ijk,...jk->...i", c, ginv)
 
 
 def _bundle(model, theta, chart, quad, diff):
@@ -72,14 +48,14 @@ def _bundle(model, theta, chart, quad, diff):
     the Levi-Civita coefficients
     Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk),
     from one tensor call at the points and one metric call on their stencil."""
-    met, cub = metric_and_cubic(model, theta, chart, quad)
+    met, c = metric_and_cubic(model, theta, chart, quad)
     ginv = inverse_metric(met)
-    dg = gradient(lambda t: fisher_metric(model, t, chart, quad).g, met.at,
+    dg = gradient(lambda t: fisher_metric(model, t, chart, quad).g, theta,
                   diff, model.chart(chart).interior)
     a = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
     lc = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, a)
     lc = 0.5 * (lc + np.swapaxes(lc, -1, -2))
-    return _Bundle(met.at, met.chart, met.g, ginv, cub.C, _phi(cub, ginv), dg, lc)
+    return _Bundle(met.g, ginv, c, _phi(c, ginv), dg, lc)
 
 
 def _gamma(b, kind, alpha=None):
@@ -99,45 +75,34 @@ def _gamma(b, kind, alpha=None):
     raise ValueError(f"unknown connection kind {kind!r}")
 
 
-def _connection(model, theta, kind, alpha, chart, quad, diff):
-    b = _bundle(model, theta, chart, quad, diff)
-    label = f"alpha({alpha})" if kind == "alpha" else kind
-    return ConnectionCoefficients(b.at, _gamma(b, kind, alpha), label, b.chart)
-
-
 def levi_civita(model, theta, chart=None, quad=None, diff=None):
-    """Metric connection at one point (m,) or a stack (P, m), like the tensors."""
-    return _connection(model, theta, "levi_civita", None, chart, quad, diff)
+    """Metric connection gamma[..., i, j, k] = Gamma^i_jk at one point (m,) or
+    a stack (P, m), like the tensors."""
+    return _gamma(_bundle(model, theta, chart, quad, diff), "levi_civita")
 
 
 def alpha_connection(model, theta, alpha, chart=None, quad=None, diff=None):
     """Gamma^i_jk = LC - (alpha/2) g^il C_ljk, at one point or a stack."""
-    return _connection(model, theta, "alpha", alpha, chart, quad, diff)
+    return _gamma(_bundle(model, theta, chart, quad, diff), "alpha", alpha)
 
 
 def weyl_connection(model, theta, chart=None, quad=None, diff=None):
     """LC plus 1/2 (delta^i_j phi_k + delta^i_k phi_j - g^im g_jk phi_m), at
     one point or a stack."""
-    return _connection(model, theta, "weyl", None, chart, quad, diff)
+    return _gamma(_bundle(model, theta, chart, quad, diff), "weyl")
 
 
 def weyl_one_form(model, theta, chart=None, quad=None):
     """phi_i = 1/2 C_ijk g^jk, the trace 1-form of the cubic tensor, at one
     point (m,) or at every row of a stack (P, m) in one stacked evaluation of
-    the tensors; ``.phi`` has the shape of ``theta``."""
-    met, cub = metric_and_cubic(model, theta, chart, quad)
-    return OneFormSample(met.at, _phi(cub, inverse_metric(met)), met.chart)
-
-
-def one_form_field(model, chart=None, quad=None):
-    """The Weyl 1-form as a plain callable theta -> phi, for one point (m,) or
-    a stack (P, m), for finite differences and path integrals."""
-    return lambda t: weyl_one_form(model, t, chart, quad).phi
+    the tensors; phi has the shape of ``theta``."""
+    met, c = metric_and_cubic(model, theta, chart, quad)
+    return _phi(c, inverse_metric(met))
 
 
 def closedness_residual(model, theta, chart=None, quad=None, diff=None):
     """R_ij = d_i phi_j - d_j phi_i; zero iff phi is closed at theta."""
-    dphi = gradient(one_form_field(model, chart, quad), theta, diff,
+    dphi = gradient(lambda t: weyl_one_form(model, t, chart, quad), theta, diff,
                     model.chart(chart).interior)
     return dphi - np.swapaxes(dphi, -1, -2)
 
@@ -152,8 +117,7 @@ def potential_omega(model, theta, anchor, chart=None, quad=None):
     path-independent, is probed once, halfway from the anchor to the middle
     point.  All segments are integrated by composite Gauss-Legendre in one
     ``segment_integrals`` call, so the 1-form is evaluated at every node in
-    one stacked call; ``.omega`` is a float for one point and (P,) for a
-    stack.
+    one stacked call.  Omega is a float for one point and (P,) for a stack.
     """
     anchor = np.asarray(anchor, dtype=float)
     try:
@@ -170,11 +134,10 @@ def potential_omega(model, theta, anchor, chart=None, quad=None):
             f"Weyl 1-form is not closed (residual {res:.3e} at "
             f"{probe.tolist()}); the potential and the alpha-parallel and "
             "Weyl priors are undefined for this family")
-    omega = segment_integrals(one_form_field(model, chart, quad),
+    omega = segment_integrals(lambda t: weyl_one_form(model, t, chart, quad),
                               np.broadcast_to(anchor, stack.shape), stack,
                               POTENTIAL_STEPS)
-    return PotentialValue(theta, anchor,
-                          omega if theta.ndim == 2 else float(omega[0]))
+    return omega if theta.ndim == 2 else float(omega[0])
 
 
 def ricci_tensor(model, theta, kind="levi_civita", alpha=None, chart=None,
@@ -234,17 +197,18 @@ def gauge_rescale_check(model, lam, start, end, steps, chart=None, quad=None,
 
     Branch A uses (g, phi); branch B uses (e^lam g, phi - d lam), mapped back
     to the same initial scalar product.  The Weyl structure axiom makes the
-    two translated products equal.  Both branches integrate along the
-    straight segment with ``steps`` Gauss-Legendre subintervals.  ``lam``
-    maps a stack of points (K, m) to values (K,) and one point (m,) to a
-    scalar, e.g. ``lambda t: t[..., 0]``; d lam is taken at all nodes in one
-    ``gradient`` call.
+    two translated products equal.  Both scale the same scalar product, so
+    the mismatch is that of the scale factors alone and g is not evaluated.
+    Both branches integrate along the straight segment with ``steps``
+    Gauss-Legendre subintervals.  ``lam`` maps a stack of points (K, m) to
+    values (K,) and one point (m,) to a scalar, e.g. ``lambda t: t[..., 0]``;
+    d lam is taken at all nodes in one ``gradient`` call.
     """
     p = np.asarray(start, dtype=float)
     q = np.asarray(end, dtype=float)
-    v = np.ones(model.dim)
-    base = float(v @ fisher_metric(model, q, chart, quad).g @ v)
-    phi = one_form_field(model, chart, quad)
+
+    def phi(ts):
+        return weyl_one_form(model, ts, chart, quad)
 
     def integral(omega):
         return segment_integrals(omega, p[None], q[None], steps)[0]
@@ -252,6 +216,6 @@ def gauge_rescale_check(model, lam, start, end, steps, chart=None, quad=None,
     def phi_gauged(ts):
         return phi(ts) - gradient(lam, ts, diff, model.chart(chart).interior)
 
-    val_a = np.exp(integral(phi)) * base
-    val_b = np.exp(integral(phi_gauged)) * np.exp(lam(q)) * base * np.exp(-lam(p))
+    val_a = np.exp(integral(phi))
+    val_b = np.exp(integral(phi_gauged)) * np.exp(lam(q)) * np.exp(-lam(p))
     return abs(val_a - val_b) / max(abs(val_a), np.finfo(float).tiny)

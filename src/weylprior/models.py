@@ -14,7 +14,7 @@ Built-in families: gaussian1d (reference chart (mu, sigma^2)), gaussian_mv(n)
 bernoulli, poisson.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -126,7 +126,6 @@ class ModelSpec:
     # (mean (d,), chol (d, d)) of the family's own law; quadrature reads the
     # law from these alone, never from log_density
     standardize: Optional[Callable] = None
-    log_partition: dict = field(default_factory=dict)  # chart name -> callable
 
     def chart(self, name=None):
         if name is None:
@@ -263,17 +262,12 @@ def _gaussian1d():
     def std(t):
         return t[..., 0:1], np.sqrt(t[..., 1])[..., None, None]
 
-    def psi(eta):
-        # log-partition of exp(eta1 x + eta2 x^2 - psi)
-        return -eta[0] ** 2 / (4.0 * eta[1]) + 0.5 * np.log(-np.pi / eta[1])
-
     return ModelSpec(
         id="gaussian1d", dim=2,
         sample_space=SampleSpace("continuous", 1),
         charts={c.name: c for c in (ref, mu_sigma, natural)},
         reference="mu_sigma2",
         log_density=logp, analytic_score=sc, standardize=std,
-        log_partition={"natural": psi},
     )
 
 
@@ -379,7 +373,6 @@ def _bernoulli():
                                  max_value=1.0),
         charts={c.name: c for c in (ref, natural)}, reference="p",
         log_density=logp, analytic_score=sc,
-        log_partition={"natural": lambda e: np.logaddexp(0.0, e[0])},
     )
 
 
@@ -431,7 +424,6 @@ def _poisson():
             "discrete", 1, support_size=_poisson_support_size),
         charts={c.name: c for c in (ref, natural)}, reference="lam",
         log_density=logp, analytic_score=sc,
-        log_partition={"natural": lambda e: np.exp(e[0])},
     )
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ DEFAULT_NODES_ND = 32
 # the largest count for which NumPy's hermgauss gives finite, positive weights
 # (from 371 nodes its weights overflow to NaN)
 MAX_NODES = 370
+# the largest tensor grid, nodes per point, that the CLI accepts: 64^3, so a
+# cached node table ((d + 1) doubles per node) stays at 8 MiB for d = 3 and
+# one point's scores (m doubles per node) at 18 MiB for gaussian_mv:3 (m = 9);
+# 370^3 nodes would ask for a 1.13 GiB node table alone
+MAX_GRID_NODES = 64 ** 3
 
 
 @dataclass(frozen=True)

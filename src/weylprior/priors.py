@@ -11,8 +11,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import geometry
 from .errors import GridError
-from .geometry import one_form_field, potential_omega
+from .geometry import potential_omega
 from .models import ModelSpec
 from .numerics import segment_integrals
 from .tensors import fisher_metric, sqrt_det_metric
@@ -157,9 +158,10 @@ def _grid_omega(model, grid: GridSpec, anchor, quad):
     last = len(shape) - 1 - np.argmax(idx[:, ::-1] != 0, axis=1)
     strides = np.cumprod((1,) + shape[:0:-1])[::-1]
     omega = np.empty(len(pts))
-    omega[0] = potential_omega(model, pts[0], anchor, grid.chart, quad).omega
-    omega[1:] = segment_integrals(one_form_field(model, grid.chart, quad),
-                                  pts[n - strides[last]], pts[n], EDGE_STEPS)
+    omega[0] = potential_omega(model, pts[0], anchor, grid.chart, quad)
+    omega[1:] = segment_integrals(
+        lambda t: geometry.weyl_one_form(model, t, grid.chart, quad),
+        pts[n - strides[last]], pts[n], EDGE_STEPS)
     # point n's value is its predecessor's plus its edge: running sums along
     # axis k over the points whose later indices are all zero
     omega = omega.reshape(shape)
@@ -180,7 +182,7 @@ def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
     points = _chart_points(model, points, chart)
     exponent = _omega_exponent(model, kind, alpha, anchor)
     if exponent is not None and omega is None:
-        omega = potential_omega(model, points, anchor, chart, quad).omega
+        omega = potential_omega(model, points, anchor, chart, quad)
     # one-row calls: one stacked call makes perfbench's jeffreys-posterior-poisson
     # round shorter than its host-speed sampling interval, which fails the
     # run (ROADMAP item 0)

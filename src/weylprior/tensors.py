@@ -28,19 +28,10 @@ CHUNK_BYTES = 1 << 19
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """g at one point, (m,) and (m, m), or at a stack, (P, m) and (P, m, m)."""
+    """g at one point (m, m) or at a stack (P, m, m)."""
 
-    at: np.ndarray
     g: np.ndarray
-    chart: str
     chol: np.ndarray        # lower Cholesky factor, from the SPD check
-
-
-@dataclass(frozen=True)
-class CubicTensor:
-    at: np.ndarray
-    C: np.ndarray
-    chart: str
 
 
 def _chunk_rows(model, theta_ref, quad):
@@ -82,23 +73,22 @@ def _require_finite(c, thetas):
         raise NotSPDError(f"non-finite cubic tensor at theta={_name(thetas, finite)}")
 
 
-def _chunk(model, ch, thetas, theta_ref, quad, metric, cubic):
+def _chunk(model, ch, thetas, theta_ref, quad, cubic):
     """Checked metric, its Cholesky factor and cubic tensor for one chunk."""
     x, w = sample_nodes(model, theta_ref, quad)
     s = model.score_ref(x, theta_ref)
     if ch.name != model.reference:
         s = s @ ch.jacobian(thetas)
-    g = chol = c = None
-    if metric:
-        g = kernels.pair_contract_stack(w, s)
-        chol = _require_spd(g, thetas)
+    g = kernels.pair_contract_stack(w, s)
+    chol = _require_spd(g, thetas)
+    c = None
     if cubic:
         c = kernels.triple_contract_stack(w, s)
         _require_finite(c, thetas)
     return g, chol, c
 
 
-def _evaluate(model, ch, thetas, quad, metric, cubic):
+def _evaluate(model, ch, thetas, quad, cubic):
     """Metric, Cholesky factor and cubic tensor arrays of a stack of points
     interior to the chart ``ch``."""
     if quad is None and model.sample_space.kind == "continuous":
@@ -107,32 +97,28 @@ def _evaluate(model, ch, thetas, quad, metric, cubic):
     p, m = len(thetas), model.dim
     rows = _chunk_rows(model, theta_ref, quad) if p > 1 else 1
     if 0 < p <= rows:
-        return _chunk(model, ch, thetas, theta_ref, quad, metric, cubic)
-    g = np.empty((p, m, m)) if metric else None
-    chol = np.empty((p, m, m)) if metric else None
+        return _chunk(model, ch, thetas, theta_ref, quad, cubic)
+    g, chol = np.empty((p, m, m)), np.empty((p, m, m))
     c = np.empty((p, m, m, m)) if cubic else None
     for a in range(0, p, rows):
         part = slice(a, a + rows)
-        g_part, chol_part, c_part = _chunk(model, ch, thetas[part],
-                                           theta_ref[part], quad, metric, cubic)
-        if metric:
-            g[part], chol[part] = g_part, chol_part
+        g[part], chol[part], c_part = _chunk(model, ch, thetas[part],
+                                             theta_ref[part], quad, cubic)
         if cubic:
             c[part] = c_part
     return g, chol, c
 
 
-def _tensors(model, theta, chart, quad, metric=True, cubic=True):
-    """(MetricTensor, CubicTensor) at one point (m,) or a stack (P, m); the
-    one not asked for is None."""
-    at = np.asarray(theta, dtype=float)
-    ch = model.require_interior(at, chart)
-    g, chol, c = _evaluate(model, ch, at if at.ndim == 2 else at[None], quad,
-                           metric, cubic)
-    if at.ndim == 1:
-        g, chol, c = (None if a is None else a[0] for a in (g, chol, c))
-    return (MetricTensor(at, g, ch.name, chol) if metric else None,
-            CubicTensor(at, c, ch.name) if cubic else None)
+def _tensors(model, theta, chart, quad, cubic=True):
+    """(MetricTensor, C) at one point (m,) or a stack (P, m); C is None unless
+    ``cubic``."""
+    theta = np.asarray(theta, dtype=float)
+    ch = model.require_interior(theta, chart)
+    g, chol, c = _evaluate(model, ch, theta if theta.ndim == 2 else theta[None],
+                           quad, cubic)
+    if theta.ndim == 1:
+        g, chol, c = g[0], chol[0], None if c is None else c[0]
+    return MetricTensor(g, chol), c
 
 
 def fisher_metric(model, theta, chart=None, quad=None):
@@ -141,13 +127,14 @@ def fisher_metric(model, theta, chart=None, quad=None):
 
 
 def amari_chentsov(model, theta, chart=None, quad=None):
-    """C_ijk = E[ (d_i l)(d_j l)(d_k l) ], checked to be finite."""
-    return _tensors(model, theta, chart, quad, metric=False)[1]
+    """The array C_ijk = E[ (d_i l)(d_j l)(d_k l) ], (m, m, m) or (P, m, m, m),
+    checked to be finite; the metric from the same nodes is SPD-checked too."""
+    return _tensors(model, theta, chart, quad)[1]
 
 
 def metric_and_cubic(model, theta, chart=None, quad=None):
-    """Metric and cubic tensor from one shared set of quadrature nodes, checked
-    as in ``fisher_metric`` and ``amari_chentsov``."""
+    """(MetricTensor, C) from one shared set of quadrature nodes, checked as in
+    ``fisher_metric`` and ``amari_chentsov``."""
     return _tensors(model, theta, chart, quad)
 
 

@@ -31,6 +31,15 @@ class TestTensor:
         assert payload["C"][1][1][1] == pytest.approx(1.0, abs=1e-10)
         assert payload["chart"] == "mu_sigma2"
 
+    def test_chart_named_in_payload(self, capsys):
+        code, out, _ = run(capsys, "tensor", "--model", "gaussian1d",
+                           "--chart", "mu_sigma", "--theta", "0,2")
+        assert code == 0
+        payload = json.loads(out)
+        # in (mu, sigma) the metric is diag(1/sigma^2, 2/sigma^2)
+        np.testing.assert_allclose(payload["g"], np.diag([0.25, 0.5]), atol=1e-12)
+        assert payload["chart"] == "mu_sigma"
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "tensor.json"
         code, _, _ = run(capsys, "tensor", "--model", "bernoulli",
@@ -62,6 +71,29 @@ class TestTensor:
                              "--quad-nodes", nodes)
         assert code == 2 and out == ""
         assert f"--quad-nodes {nodes}" in json.loads(err)["error"]
+
+    # 370 nodes per sample dimension are 370^3 nodes per point on
+    # gaussian_mv:3, a 1.13 GiB node table; the total is refused first
+    @pytest.mark.parametrize("command", [
+        ("tensor",), ("check", "--what", "closedness")], ids=["tensor", "check"])
+    def test_too_many_grid_nodes_exit_2(self, capsys, monkeypatch, command):
+        from weylprior import numerics
+        grids = []
+        inner = numerics._node_grid
+
+        def recorded(k, dim):
+            grids.append((k, dim))
+            # a table this large is never built, even if the bound regresses
+            assert k ** dim <= numerics.MAX_GRID_NODES, (k, dim)
+            return inner(k, dim)
+
+        monkeypatch.setattr(numerics, "_node_grid", recorded)
+        code, out, err = run(capsys, command[0], "--model", "gaussian_mv:3",
+                             *command[1:], "--theta", "0,0,0,1,0,0,1,0,1",
+                             "--quad-nodes", "370")
+        assert code == 2 and out == ""
+        assert "--quad-nodes 370" in json.loads(err)["error"]
+        assert (370, 3) not in grids
 
     def test_max_quad_nodes_works(self, capsys):
         code, out, _ = run(capsys, "tensor", "--model", "gaussian1d",

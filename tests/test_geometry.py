@@ -16,7 +16,6 @@ from weylprior.geometry import (
     duality_residual,
     gauge_rescale_check,
     nabla_g_identity_residual,
-    one_form_field,
     ricci_tensor,
     trace_identity_residual,
     weyl_compatibility_residual,
@@ -30,7 +29,7 @@ class TestConnections:
         # closed form in (mu, sigma^2): Gamma^mu_{mu s} = -1/(2 s),
         # Gamma^s_{mu mu} = 1, Gamma^s_{ss} = -1/s
         for s2 in (1.0, 3.0):
-            gam = levi_civita(g1, [0.5, s2]).gamma
+            gam = levi_civita(g1, [0.5, s2])
             assert gam[0, 0, 1] == pytest.approx(-0.5 / s2, abs=1e-7)
             assert gam[0, 1, 0] == pytest.approx(-0.5 / s2, abs=1e-7)
             assert gam[1, 0, 0] == pytest.approx(1.0, abs=1e-7)
@@ -40,18 +39,18 @@ class TestConnections:
 
     def test_alpha_zero_is_levi_civita(self, g1):
         theta = [1.0, 2.0]
-        np.testing.assert_allclose(alpha_connection(g1, theta, 0.0).gamma,
-                                   levi_civita(g1, theta).gamma, atol=1e-12)
+        np.testing.assert_allclose(alpha_connection(g1, theta, 0.0),
+                                   levi_civita(g1, theta), atol=1e-12)
 
     def test_alpha_correction_sign(self, g1):
         # Gamma^alpha = LC - (alpha/2) g^{-1} C; check one entry analytically:
         # at (0,1), (g^{-1}C)^s_{ss} = 2 * 1 = 2, so alpha=1 shifts by -1
-        lc = levi_civita(g1, [0.0, 1.0]).gamma
-        a1 = alpha_connection(g1, [0.0, 1.0], 1.0).gamma
+        lc = levi_civita(g1, [0.0, 1.0])
+        a1 = alpha_connection(g1, [0.0, 1.0], 1.0)
         assert a1[1, 1, 1] - lc[1, 1, 1] == pytest.approx(-1.0, abs=1e-9)
 
     def test_weyl_connection_gaussian1d(self, g1):
-        gam = weyl_connection(g1, [0.0, 1.0]).gamma
+        gam = weyl_connection(g1, [0.0, 1.0])
         assert gam[0, 0, 1] == pytest.approx(0.25, abs=1e-7)
         assert gam[1, 0, 0] == pytest.approx(-0.5, abs=1e-7)
 
@@ -59,9 +58,9 @@ class TestConnections:
         for model, theta in [(g1, [0.7, 1.7]),
                              (mv2, vech_theta([0.2, -0.1],
                                               [[1.5, 0.3], [0.3, 1.0]]))]:
-            for gam in (levi_civita(model, theta).gamma,
-                        alpha_connection(model, theta, 1.0).gamma,
-                        weyl_connection(model, theta).gamma):
+            for gam in (levi_civita(model, theta),
+                        alpha_connection(model, theta, 1.0),
+                        weyl_connection(model, theta)):
                 np.testing.assert_allclose(gam, np.transpose(gam, (0, 2, 1)),
                                            atol=1e-12)
 
@@ -70,17 +69,17 @@ class TestWeylOneForm:
     @pytest.mark.parametrize("s2", [0.5, 1.0, 4.0])
     def test_gaussian1d_closed_form(self, g1, s2):
         # phi = (0, 3/(2 sigma^2)) in the (mu, sigma^2) chart
-        phi = weyl_one_form(g1, [0.0, s2]).phi
+        phi = weyl_one_form(g1, [0.0, s2])
         np.testing.assert_allclose(phi, [0.0, 1.5 / s2], atol=1e-10)
 
     def test_mv_identity_covariance(self, mv2):
         # hand moment computation gives d(2 ln det Sigma) in the vech chart
-        phi = weyl_one_form(mv2, vech_theta([0, 0], np.eye(2))).phi
+        phi = weyl_one_form(mv2, vech_theta([0, 0], np.eye(2)))
         np.testing.assert_allclose(phi, [0.0, 0.0, 2.0, 0.0, 2.0], atol=1e-9)
 
     def test_mv_matches_log_det_gradient(self, mv2):
         sigma = np.array([[2.0, 0.5], [0.5, 1.2]])
-        phi = weyl_one_form(mv2, vech_theta([0.3, 0.1], sigma)).phi
+        phi = weyl_one_form(mv2, vech_theta([0.3, 0.1], sigma))
         p = np.linalg.inv(sigma)
         # d/d s_ij of 2 ln det Sigma, off-diagonal vech entries doubled
         want = [0.0, 0.0, 2 * p[0, 0], 4 * p[0, 1], 2 * p[1, 1]]
@@ -104,29 +103,29 @@ class TestPotential:
     def test_gaussian1d_value(self, g1):
         # Omega = (3/2) ln(sigma^2 / sigma_0^2)
         val = potential_omega(g1, [0.0, np.e ** 2], [0.0, 1.0])
-        assert val.omega == pytest.approx(3.0, abs=1e-10)
+        assert val == pytest.approx(3.0, abs=1e-10)
 
     def test_path_independence(self, g1):
-        a = potential_omega(g1, [2.0, 3.0], [0.0, 1.0]).omega
-        b = potential_omega(g1, [2.0, 3.0], [-1.0, 0.25]).omega
-        c = potential_omega(g1, [0.0, 1.0], [-1.0, 0.25]).omega
+        a = potential_omega(g1, [2.0, 3.0], [0.0, 1.0])
+        b = potential_omega(g1, [2.0, 3.0], [-1.0, 0.25])
+        c = potential_omega(g1, [0.0, 1.0], [-1.0, 0.25])
         assert a + c == pytest.approx(b, abs=1e-8)
 
     def test_anchor_is_zero(self, g1):
-        assert potential_omega(g1, [1.0, 2.0], [1.0, 2.0]).omega == 0.0
+        assert potential_omega(g1, [1.0, 2.0], [1.0, 2.0]) == 0.0
 
     def test_mv_log_det(self, mv2):
         sigma = np.array([[2.0, 0.4], [0.4, 1.5]])
         anchor = vech_theta([0.0, 0.0], np.eye(2))
         val = potential_omega(mv2, vech_theta([0.5, -0.5], sigma), anchor)
-        assert val.omega == pytest.approx(2.0 * np.log(np.linalg.det(sigma)),
-                                          abs=1e-8)
+        assert val == pytest.approx(2.0 * np.log(np.linalg.det(sigma)),
+                                    abs=1e-8)
 
     def test_additive_constant_shift(self, g1):
         # moving the anchor shifts Omega by a constant
         pts = [[0.0, 0.5], [1.0, 2.0], [-1.0, 4.0]]
-        om_a = [potential_omega(g1, p, [0.0, 1.0]).omega for p in pts]
-        om_b = [potential_omega(g1, p, [2.0, 3.0]).omega for p in pts]
+        om_a = [potential_omega(g1, p, [0.0, 1.0]) for p in pts]
+        om_b = [potential_omega(g1, p, [2.0, 3.0]) for p in pts]
         shifts = np.array(om_a) - np.array(om_b)
         assert np.max(np.abs(shifts - shifts[0])) < 1e-8
 
@@ -137,7 +136,6 @@ class TestCurvatureAndResiduals:
         # Ric = -(1/2) g
         for theta in ([0.0, 1.0], [1.0, 2.5]):
             ric = ricci_tensor(g1, theta)
-            g = levi_civita(g1, theta).at  # just for chart reuse
             from weylprior import fisher_metric
             np.testing.assert_allclose(ric, -0.5 * fisher_metric(g1, theta).g,
                                        atol=1e-5)
@@ -170,7 +168,8 @@ def weyl_scale(model, waypoints):
     """Scale factor exp(int phi) carrying a scalar product along the
     polyline through ``waypoints``, 256 subintervals per segment."""
     pts = np.asarray(waypoints, dtype=float)
-    ints = segment_integrals(one_form_field(model), pts[:-1], pts[1:], 256)
+    ints = segment_integrals(lambda t: weyl_one_form(model, t), pts[:-1], pts[1:],
+                             256)
     return float(np.exp(ints.sum()))
 
 
@@ -267,12 +266,12 @@ def reference_levi_civita(model, theta, chart=None, diff=None):
 def reference_alpha_connection(model, theta, alpha, chart=None, diff=None):
     lc = reference_levi_civita(model, theta, chart, diff)
     met, cub = metric_and_cubic(model, theta, chart)
-    return lc - 0.5 * alpha * np.einsum("il,ljk->ijk", inverse_metric(met), cub.C)
+    return lc - 0.5 * alpha * np.einsum("il,ljk->ijk", inverse_metric(met), cub)
 
 
 def reference_weyl_one_form(model, theta, chart=None):
     met, cub = metric_and_cubic(model, theta, chart)
-    return 0.5 * np.einsum("...ijk,...jk->...i", cub.C, inverse_metric(met))
+    return 0.5 * np.einsum("...ijk,...jk->...i", cub, inverse_metric(met))
 
 
 def reference_weyl_connection(model, theta, chart=None, diff=None):
@@ -324,7 +323,7 @@ def reference_nabla_g_identity_residual(model, theta, alpha, chart=None):
     g = fisher_metric(model, theta, chart).g
     dg = reference_metric_derivatives(model, theta, chart)
     ga = reference_alpha_connection(model, theta, alpha, chart)
-    c = amari_chentsov(model, theta, chart).C
+    c = amari_chentsov(model, theta, chart)
     nabla_g = (dg - np.einsum("lki,lj->kij", ga, g)
                - np.einsum("lkj,il->kij", ga, g))
     return nabla_g - alpha * c
@@ -355,9 +354,9 @@ def _pairs(model, theta, chart, alphas, ricci_alphas):
     out = [
         ("d g", lambda: geometry._bundle(model, th, chart, None, None).dg,
          lambda: reference_metric_derivatives(model, th, chart)),
-        ("levi_civita", lambda: levi_civita(model, th, chart).gamma,
+        ("levi_civita", lambda: levi_civita(model, th, chart),
          lambda: reference_levi_civita(model, th, chart)),
-        ("weyl", lambda: weyl_connection(model, th, chart).gamma,
+        ("weyl", lambda: weyl_connection(model, th, chart),
          lambda: reference_weyl_connection(model, th, chart)),
         ("closedness", lambda: closedness_residual(model, th, chart),
          lambda: reference_closedness_residual(model, th, chart)),
@@ -368,7 +367,7 @@ def _pairs(model, theta, chart, alphas, ricci_alphas):
     ]
     for a in alphas:
         out += [
-            (f"alpha({a})", lambda a=a: alpha_connection(model, th, a, chart).gamma,
+            (f"alpha({a})", lambda a=a: alpha_connection(model, th, a, chart),
              lambda a=a: reference_alpha_connection(model, th, a, chart)),
             (f"duality({a})", lambda a=a: duality_residual(model, th, a, chart),
              lambda a=a: reference_duality_residual(model, th, a, chart)),
@@ -460,10 +459,9 @@ class TestStackedConnections:
                      lambda t: alpha_connection(model, t, -2.0),
                      lambda t: weyl_connection(model, t)):
             got = conn(stack)
-            assert got.gamma.shape == (len(stack),) + (model.dim,) * 3
-            assert np.array_equal(got.at, stack)
+            assert got.shape == (len(stack),) + (model.dim,) * 3
             for p, theta in enumerate(stack):
-                assert np.array_equal(got.gamma[p], conn(theta).gamma)
+                assert np.array_equal(got[p], conn(theta))
 
 
 class TestWorkCount:
@@ -582,12 +580,12 @@ class TestStackedPotential:
     def test_stack_matches_reference_bitwise(self, model_id, chart, anchor, points):
         model = get_model(model_id)
         got = potential_omega(model, points, anchor, chart)
-        assert got.omega.shape == (len(points),)
+        assert got.shape == (len(points),)
         want = np.array([reference_potential_omega(model, t, anchor, chart)
                          for t in points])
-        assert np.array_equal(got.omega, want), np.max(np.abs(got.omega - want))
-        one = potential_omega(model, points[1], anchor, chart).omega
-        assert isinstance(one, float) and one == got.omega[1]
+        assert np.array_equal(got, want), np.max(np.abs(got - want))
+        one = potential_omega(model, points[1], anchor, chart)
+        assert isinstance(one, float) and one == got[1]
 
     def test_outside_anchor_is_named(self, g1):
         with pytest.raises(DomainError, match=r"anchor: theta=\[0\.0, -1\.0\] is not interior"):
@@ -606,7 +604,7 @@ class TestNotClosed:
         def weyl_one_form(model, theta, chart=None, quad=None):
             t = np.asarray(theta, dtype=float)
             phi = np.stack([np.zeros_like(t[..., 0]), t[..., 0]], axis=-1)
-            return geometry.OneFormSample(t, phi, "mu_sigma2")
+            return phi
 
         monkeypatch.setattr(geometry, "weyl_one_form", weyl_one_form)
 
