@@ -6,12 +6,13 @@ stack of P points:
     pair_contract_stack:   G[p, i, j]    = sum_n w[p, n] s[p, n, i] s[p, n, j]
     triple_contract_stack: T[p, i, j, k] = sum_n w[p, n] s[p, n, i] s[p, n, j] s[p, n, k]
 
-einsum does the accumulation; both results are then symmetrised so that
-every permutation of an index tuple holds the same bit pattern.  A point's
-result does not depend on the other points of its stack, and nodes of zero
-weight (the padding of discrete supports) leave it unchanged.  Results are
-C-ordered, like their inputs: einsum's summation order follows the memory
-layout of its operands, so a C-ordered stack sums each point as one row does.
+Both are batched matrix products over the node axis: with ws = w s, G is
+ws^T s (m, q) @ (q, m) and T is ws^T (s s^T) (m, q) @ (q, m*m), one BLAS
+call per point.  The results are then symmetrised so that every permutation
+of an index tuple holds the same bit pattern.  A point's result does not
+depend on the other points of its stack; it does depend on q, so a stack's
+points share one node count (discrete supports are not padded, see
+``numerics.sample_nodes``).  Results are C-ordered.
 """
 
 from functools import lru_cache
@@ -30,7 +31,7 @@ def backend_name():
 
 def pair_contract_stack(w, s):
     """G[p,i,j] = sum_n w[p,n] s[p,n,i] s[p,n,j], exactly symmetric."""
-    g = np.einsum("pn,pni,pnj->pij", w, s, s)
+    g = np.swapaxes(w[..., None] * s, 1, 2) @ s
     return 0.5 * (g + np.swapaxes(g, 1, 2))
 
 
@@ -51,8 +52,9 @@ def _mirror_indices(m):
 
 def triple_contract_stack(w, s):
     """T[p,i,j,k] = sum_n w[p,n] s[p,n,i] s[p,n,j] s[p,n,k], exactly symmetric."""
-    t = np.einsum("pn,pni,pnj,pnk->pijk", w, s, s, s)
-    p, m = t.shape[:2]
+    p, q, m = s.shape
+    ss = (s[..., :, None] * s[..., None, :]).reshape(p, q, m * m)
+    t = np.swapaxes(w[..., None] * s, 1, 2) @ ss              # (P, m, m*m)
     perms, slot = _mirror_indices(m)
     # average the six slots of each sorted triple, summed in a fixed order, and
     # mirror the mean back, so the six symmetric slots hold the same bit pattern
@@ -61,6 +63,4 @@ def triple_contract_stack(w, s):
     for k in range(2, 6):
         v += a[:, k]
     v /= 6.0
-    # np.take keeps the result C-ordered; einsum over a stack whose point axis
-    # is innermost in memory would sum in another order than over one row
-    return np.take(v, slot, axis=1).reshape(t.shape)
+    return np.take(v, slot, axis=1).reshape(p, m, m, m)

@@ -73,17 +73,19 @@ def gauss_hermite_nodes(k, dim=1):
 
 def nodes_per_point(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
     """Sample points per parameter point that ``sample_nodes`` returns for the
-    stack ``theta_ref`` (P, m): the quadrature grid size, or the widest
-    discrete support of the stack."""
+    stack ``theta_ref`` (P, m): the quadrature grid size, an int, for a
+    continuous model, and the support width of every point, (P,) ints, for a
+    discrete one."""
     space = model.sample_space
     if space.kind == "discrete":
-        return max(space.support_size(np.asarray(theta_ref, dtype=float)).tolist())
+        return space.support_size(np.asarray(theta_ref, dtype=float))
     if quad is None:
         quad = default_quadrature(model)
     return quad.nodes ** space.dim
 
 
-def sample_nodes(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
+def sample_nodes(model: ModelSpec, theta_ref, quad: QuadratureSpec = None,
+                 width=None):
     """Sample points and probability weights realizing E_theta[.].
 
     Continuous models: Gauss-Hermite nodes whitened by the mean and
@@ -94,34 +96,37 @@ def sample_nodes(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
 
     ``theta_ref`` is one reference-chart point (m,), giving points (q,) or
     (q, d) and weights (q,), or a stack (P, m), giving points (P, q) or
-    (P, q, d) and weights (P, q).  In a stack, discrete supports are padded
-    to the widest one by further support points of zero weight.
+    (P, q, d) and weights (P, q).  Every point of a stack gets the same q:
+    the points of a discrete stack must share one support width, and a
+    stack of mixed widths raises ValueError.  ``width`` is that shared
+    width when the caller already has it from ``nodes_per_point``; it is
+    read for discrete models only.
     """
     theta_ref = np.asarray(theta_ref, dtype=float)
     if theta_ref.ndim == 1:
-        x, w = _stacked_nodes(model, theta_ref[None], quad)
+        x, w = _stacked_nodes(model, theta_ref[None], quad, width)
         return x[0], w[0]
-    return _stacked_nodes(model, theta_ref, quad)
+    return _stacked_nodes(model, theta_ref, quad, width)
 
 
-def _stacked_nodes(model, theta_ref, quad):
+def _stacked_nodes(model, theta_ref, quad, width):
     space = model.sample_space
     if space.kind == "discrete":
-        size = space.support_size(theta_ref)
-        widths = size.tolist()
-        pts = np.arange(max(widths), dtype=float)
-        x = np.repeat(pts[None], len(theta_ref), axis=0)
-        w = np.exp(model.log_density(x, theta_ref))
-        if min(widths) < len(pts):
-            w[pts >= size[:, None]] = 0.0
-        return x, w
+        if width is None:
+            widths = np.unique(space.support_size(theta_ref)).tolist()
+            if len(widths) > 1:
+                raise ValueError(f"a discrete stack needs one support width, got "
+                                 f"widths {widths}; sample each width on its own")
+            width = widths[0]
+        x = np.repeat(np.arange(width, dtype=float)[None], len(theta_ref), axis=0)
+        return x, np.exp(model.log_density(x, theta_ref))
     if quad is None:
         quad = default_quadrature(model)
     mean, chol = model.standardize(theta_ref)        # (P, d), (P, d, d)
     z, w = gauss_hermite_nodes(quad.nodes, space.dim)
     x = mean[:, None, :] + z @ np.swapaxes(chol, 1, 2)
-    # a C-ordered copy per point, not a stride-0 view: einsum's summation
-    # order follows memory layout (see ``kernels``)
+    # a C-ordered copy per point, not a stride-0 view, so the kernels' products
+    # w * s are laid out for every point of a stack as for one point alone
     w = np.repeat(w[None], len(theta_ref), axis=0)
     return (x[..., 0] if space.dim == 1 else x), w
 

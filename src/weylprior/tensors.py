@@ -1,17 +1,21 @@
 """Fisher metric and cubic (Amari-Chentsov) tensor over stacks of points.
 
 Both are quadrature expectations of products of score components.  Every
-public function takes one point (m,) or a stack of points (P, m), splits a
-stack into chunks whose largest temporary stays under CHUNK_BYTES, and for
-each chunk builds sample nodes, scores and both contractions in a few NumPy
-calls.  The kernels return exactly symmetric arrays, which are
-checked here (metric finite and positive-definite, cubic tensor finite);
-a failed check names the offending point.  The Cholesky factor of the SPD
-check is kept, and g^-1 and sqrt(det g) are taken from it.  Chart-native
-tensors are obtained by pushing the reference-chart scores through the
-chart Jacobian before contraction, so no separate transformation step is
-needed.  A single point is evaluated as a one-row stack, so its values are
-bitwise those it gets in any stack.
+public function takes one point (m,) or a stack of points (P, m).  The
+points of a stack are grouped by node count (one group for a continuous
+model, one per support width for a discrete stack of more than one point,
+since nothing pads a support), each group is split into chunks whose
+largest temporary stays under CHUNK_BYTES, and each chunk builds sample
+nodes, scores and both contractions, batched matrix products, in a few
+NumPy calls.  The kernels return exactly symmetric arrays, which are
+checked here over the whole stack (metric finite and positive-definite,
+cubic tensor finite); a failed check names the first offending point in
+stack order.  The Cholesky factor of the SPD check is kept, and g^-1 and
+sqrt(det g) are taken from it.  Chart-native tensors are obtained by
+pushing the reference-chart scores through the chart Jacobian before
+contraction, so no separate transformation step is needed.  A single point
+is evaluated as a one-row stack, so its values are bitwise those it gets
+in any stack.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,8 @@ from . import kernels
 from .errors import NotSPDError
 from .numerics import default_quadrature, nodes_per_point, sample_nodes
 
-# bound on one chunk's score-product footprint, q * m * m doubles per point
+# bound on one chunk's largest temporary, the score products s s^T that the
+# cubic contraction multiplies by: q * m * m doubles per point
 CHUNK_BYTES = 1 << 19
 
 
@@ -34,10 +39,9 @@ class MetricTensor:
     chol: np.ndarray        # lower Cholesky factor, from the SPD check
 
 
-def _chunk_rows(model, theta_ref, quad):
+def _chunk_rows(q, m):
     """Points per chunk, so that q * m * m doubles per point fit CHUNK_BYTES."""
-    q = nodes_per_point(model, theta_ref, quad)
-    return max(1, CHUNK_BYTES // (8 * q * model.dim * model.dim))
+    return max(1, CHUNK_BYTES // (8 * q * m * m))
 
 
 def _name(thetas, ok):
@@ -73,39 +77,54 @@ def _require_finite(c, thetas):
         raise NotSPDError(f"non-finite cubic tensor at theta={_name(thetas, finite)}")
 
 
-def _chunk(model, ch, thetas, theta_ref, quad, cubic):
-    """Checked metric, its Cholesky factor and cubic tensor for one chunk."""
-    x, w = sample_nodes(model, theta_ref, quad)
+def _contract(model, ch, thetas, theta_ref, quad, cubic, width):
+    """Unchecked metric and cubic tensor of points that share one node count
+    (``width`` nodes for a discrete model)."""
+    x, w = sample_nodes(model, theta_ref, quad, width)
     s = model.score_ref(x, theta_ref)
     if ch.name != model.reference:
         s = s @ ch.jacobian(thetas)
     g = kernels.pair_contract_stack(w, s)
-    chol = _require_spd(g, thetas)
-    c = None
-    if cubic:
-        c = kernels.triple_contract_stack(w, s)
-        _require_finite(c, thetas)
-    return g, chol, c
+    return g, kernels.triple_contract_stack(w, s) if cubic else None
+
+
+def _groups(q, p):
+    """(indices, node count) of each group of the stack's points that share
+    one node count: all points for a continuous model (``q`` an int), one
+    group per support width for a discrete stack (``q`` (P,))."""
+    if np.ndim(q) == 0:
+        return [(np.arange(p), q)]
+    if p == 1:
+        return [(np.arange(1), int(q[0]))]
+    widths, group = np.unique(q, return_inverse=True)
+    return [(np.flatnonzero(group == k), int(n)) for k, n in enumerate(widths)]
 
 
 def _evaluate(model, ch, thetas, quad, cubic):
     """Metric, Cholesky factor and cubic tensor arrays of a stack of points
-    interior to the chart ``ch``."""
+    interior to the chart ``ch``; a failed check names the first offending
+    point in stack order."""
     if quad is None and model.sample_space.kind == "continuous":
         quad = default_quadrature(model)
     theta_ref = ch.to_reference(thetas)
-    p, m = len(thetas), model.dim
-    rows = _chunk_rows(model, theta_ref, quad) if p > 1 else 1
-    if 0 < p <= rows:
-        return _chunk(model, ch, thetas, theta_ref, quad, cubic)
-    g, chol = np.empty((p, m, m)), np.empty((p, m, m))
-    c = np.empty((p, m, m, m)) if cubic else None
-    for a in range(0, p, rows):
-        part = slice(a, a + rows)
-        g[part], chol[part], c_part = _chunk(model, ch, thetas[part],
-                                             theta_ref[part], quad, cubic)
-        if cubic:
-            c[part] = c_part
+    p, m = thetas.shape
+    groups = _groups(nodes_per_point(model, theta_ref, quad), p)
+    if len(groups) == 1 and 0 < p <= _chunk_rows(groups[0][1], m):
+        g, c = _contract(model, ch, thetas, theta_ref, quad, cubic, groups[0][1])
+    else:
+        g = np.empty((p, m, m))
+        c = np.empty((p, m, m, m)) if cubic else None
+        for idx, q in groups:
+            rows = _chunk_rows(q, m)
+            for a in range(0, len(idx), rows):
+                part = idx[a:a + rows]
+                g[part], c_part = _contract(model, ch, thetas[part], theta_ref[part],
+                                            quad, cubic, q)
+                if cubic:
+                    c[part] = c_part
+    chol = _require_spd(g, thetas)
+    if cubic:
+        _require_finite(c, thetas)
     return g, chol, c
 
 

@@ -14,8 +14,10 @@ from weylprior import (
     Axis,
     Dataset,
     GridSpec,
+    QuadratureSpec,
     amari_chentsov,
     fisher_metric,
+    get_model,
     grid_posterior,
     jeffreys_field,
     theorem_ratio_check,
@@ -176,6 +178,33 @@ def test_07_multivariate_exponent(mv2):
     report(7, "log Weyl prior is affine in log det Sigma on diag 15x15 grid",
            resid, 1e-4, resid < 1e-4)
     report(7, "fitted det Sigma exponent equals 3", exp_err, 1e-6,
+           exp_err < 1e-6)
+
+
+def test_07_multivariate_exponent_n3():
+    # gaussian_mv:3 (m = 9) on a diagonal-covariance 4x4x4 grid; the
+    # integrands are polynomials of degree 6 in x, so 8 Gauss-Hermite nodes
+    # per dimension are exact
+    zero = lambda name: Axis(name, 0.0, 0.0, 1)
+    diag = lambda name: Axis(name, 0.5, 4.0, 4, spacing="log")
+    grid = GridSpec((zero("mu1"), zero("mu2"), zero("mu3"),
+                     diag("s11"), zero("s12"), zero("s13"),
+                     diag("s22"), zero("s23"), diag("s33")))
+    mv3 = get_model("gaussian_mv", n=3)
+    anchor = vech_theta([0, 0, 0], np.eye(3))
+    field = weyl_prior_field(mv3, grid, anchor=anchor, quad=QuadratureSpec(8))
+    logdet = np.log(field.points[:, 3] * field.points[:, 6] * field.points[:, 8])
+    logw = np.log(field.values)
+    design = np.column_stack([logdet, np.ones_like(logdet)])
+    coef, *_ = np.linalg.lstsq(design, logw, rcond=None)
+    resid = float(np.max(np.abs(logw - design @ coef)))
+    # det(Sigma)^((n+2)(m-2)/4) with n = 3, m = 9: the exponent is 35/4
+    exp_err = abs(float(coef[0]) - 8.75)
+    print(f"[acceptance 07] n = 3 fitted exponent p = {float(coef[0]):.6f} "
+          f"(closed form (n+2)(m-2)/4 = 8.75)", flush=True)
+    report(7, "n = 3: log Weyl prior is affine in log det Sigma on diag 4x4x4 grid",
+           resid, 1e-4, resid < 1e-4)
+    report(7, "n = 3: fitted det Sigma exponent equals 8.75", exp_err, 1e-6,
            exp_err < 1e-6)
 
 

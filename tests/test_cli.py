@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +104,25 @@ class TestTensor:
         assert code == 0
         np.testing.assert_allclose(json.loads(out)["g"], [[1.0, 0.0], [0.0, 0.5]],
                                    atol=1e-12)
+
+    def test_output_bytes_do_not_depend_on_blas_threads(self):
+        # at m = 9 the contraction kernels' matrix products are large enough
+        # for OpenBLAS to split them over threads; the split must not move a bit
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "weylprior.cli", "tensor",
+                 "--model", "gaussian_mv:3",
+                 "--theta", "0.1,0,0.2,1.3,0.2,0.1,1.1,0.3,0.9"],
+                env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+            outs.append(proc.stdout)
+        assert len(json.loads(outs[0])["C"]) == 9
+        assert outs[0] == outs[1]
 
     def test_unknown_model_exit_2(self, capsys):
         code, _, err = run(capsys, "tensor", "--model", "weibull",

@@ -1,5 +1,7 @@
 """Fisher metric and cubic tensor against closed forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -160,7 +162,7 @@ def stack_points(model_id, chart):
                          for k in range(5)])
     if model_id == "bernoulli":
         return rng.uniform(0.05, 0.95, (9, 1))
-    # rates whose truncated supports differ in width, so rows are padded
+    # rates whose truncated supports differ in width, evaluated in groups
     return np.array([[0.5], [3.0], [40.0], [1.2], [12.0]])
 
 
@@ -190,16 +192,18 @@ class TestStackIndependence:
             assert np.array_equal(phi[k], weyl_one_form(model, t, chart))
             assert root[k] == sqrt_det_metric(one_met)
 
-    def test_padded_supports_have_zero_weight(self, pois):
-        rates = np.array([[0.5], [40.0]])
+    def test_mixed_support_widths_refused(self, pois):
+        # a point's sums depend on its node count, so no support is padded to
+        # a common width: sample_nodes takes one width per stack
+        with pytest.raises(ValueError, match=r"one support width, got widths "
+                                             r"\[28, 124\]"):
+            sample_nodes(pois, np.array([[0.5], [40.0]]))
+        rates = np.array([[3.0], [3.1]])
         x, w = sample_nodes(pois, rates)
         for k, lam in enumerate(rates):
             one_x, one_w = sample_nodes(pois, lam)
-            q = len(one_w)
-            assert np.array_equal(x[k, :q], one_x)
-            assert np.array_equal(w[k, :q], one_w)
-            assert np.all(w[k, q:] == 0.0)
-        assert len(w[0]) == len(w[1]) > len(sample_nodes(pois, rates[0])[1])
+            assert np.array_equal(x[k], one_x)
+            assert np.array_equal(w[k], one_w)
 
     def test_inverse_and_sqrt_det_from_one_factor(self, mv2):
         met = fisher_metric(mv2, vech_theta([0.4, -0.9], [[2.0, 0.7], [0.7, 1.5]]))
@@ -207,6 +211,37 @@ class TestStackIndependence:
         assert sqrt_det_metric(met) == pytest.approx(np.sqrt(np.linalg.det(met.g)),
                                                      rel=1e-12)
         assert np.array_equal(met.chol, np.linalg.cholesky(met.g))
+
+
+class TestSupportWidths:
+    """A discrete stack evaluates its supports once and its tensors in
+    groups of one width."""
+
+    def test_one_support_size_evaluation_per_stack(self, pois, monkeypatch):
+        from weylprior import numerics, tensors
+        sizes, widths = [], []
+        space = pois.sample_space
+
+        def counted_size(t):
+            sizes.append(np.shape(t))
+            return space.support_size(t)
+
+        def recorded_nodes(model, theta_ref, quad=None, width=None):
+            widths.append((len(theta_ref), width))
+            return numerics.sample_nodes(model, theta_ref, quad, width)
+
+        model = replace(pois, sample_space=replace(space, support_size=counted_size))
+        monkeypatch.setattr(tensors, "sample_nodes", recorded_nodes)
+        rates = stack_points("poisson", "lam")
+        met, cub = metric_and_cubic(model, rates)
+        assert sizes == [rates.shape]
+        # one sample_nodes call per distinct width, each given its width
+        want = sorted(set(space.support_size(rates).tolist()))
+        assert sorted(w for _, w in widths) == want
+        assert sum(n for n, _ in widths) == len(rates)
+        for k, lam in enumerate(rates):
+            assert np.array_equal(met.g[k], fisher_metric(pois, lam).g)
+            assert np.array_equal(cub[k], amari_chentsov(pois, lam))
 
 
 class TestStackErrors:
