@@ -8,7 +8,7 @@ from .geometry import (
     alpha_connection,
     closedness_residual,
     duality_residual,
-    gauge_rescale_check,
+    gauge_residual,
     levi_civita,
     nabla_g_identity_residual,
     potential_omega,

@@ -79,8 +79,11 @@ def grid_posterior(model: ModelSpec, prior: PriorField, data: Dataset,
     pts = prior.points
     model.require_interior(pts, ch)
     loglik = np.empty(len(pts))
-    for k, t in enumerate(ch.to_reference(pts)):
-        loglik[k] = math.fsum((counts * model.log_density(obs, t)).tolist())
+    # an observation far in a tail overflows its log-density to -inf, which
+    # the check below reports when it leaves no grid point finite
+    with np.errstate(over="ignore"):
+        for k, t in enumerate(ch.to_reference(pts)):
+            loglik[k] = math.fsum((counts * model.log_density(obs, t)).tolist())
     logpost = loglik + np.log(prior.values)
     if not np.any(np.isfinite(logpost)):
         raise DataError("data has vanishing likelihood at every grid point")

@@ -97,13 +97,6 @@ def _alpha(args):
     return args.alpha
 
 
-def _path_steps(args):
-    if args.path_steps < 1:
-        raise InvalidConfigError(
-            f"--path-steps {args.path_steps}: need at least 1 subinterval")
-    return args.path_steps
-
-
 def _emit(payload, out=None):
     text = json.dumps(payload, indent=2)
     if out:
@@ -125,21 +118,7 @@ def cmd_tensor(args):
     return 0
 
 
-GAUGE_SCALES = np.array([0.25, -0.25, 0.1, -0.1, 0.05, -0.05])
-
-
-def _gauge_endpoint(model, theta, chart):
-    """The first interior candidate endpoint; the chart domain is convex, so
-    the segment to it from the interior point ``theta`` stays interior."""
-    ends = theta + GAUGE_SCALES[:, None] * (np.abs(theta) + 1.0)
-    inside = model.chart(chart).interior(ends)
-    if not inside.any():
-        raise WeylPriorError("could not find an in-domain gauge-check path endpoint")
-    return ends[np.argmax(inside)]
-
-
-def run_check(model, what, theta, alpha=1.0, chart=None, quad=None, diff=None,
-              path_steps=256):
+def run_check(model, what, theta, alpha=1.0, chart=None, quad=None, diff=None):
     """Evaluate one named residual; returns (max_residual, tolerance)."""
     tol = CHECK_TOLERANCES[what]
     if what == "closedness":
@@ -159,9 +138,8 @@ def run_check(model, what, theta, alpha=1.0, chart=None, quad=None, diff=None,
         res = np.max(np.abs(geometry.trace_identity_residual(model, theta, chart,
                                                              quad, diff)))
     elif what == "gauge":
-        q = _gauge_endpoint(model, theta, chart)
-        res = geometry.gauge_rescale_check(model, lambda t: t[..., 0], theta, q,
-                                           path_steps, chart, quad, diff)
+        res = np.max(np.abs(geometry.gauge_residual(model, theta, lambda t: t[..., 0],
+                                                    chart, quad, diff)))
     else:
         raise WeylPriorError(f"unknown check {what!r}")
     return float(res), tol
@@ -173,7 +151,7 @@ def cmd_check(args):
     model.require_interior(theta, args.chart)
     res, tol = run_check(model, args.what, theta, alpha=_alpha(args),
                          chart=args.chart, quad=_quad(args, model),
-                         diff=_diff(args), path_steps=_path_steps(args))
+                         diff=_diff(args))
     ok = res < tol
     _emit({"check": args.what, "theta": theta.tolist(), "max_residual": res,
            "tolerance": tol, "pass": bool(ok)}, args.out)
@@ -352,7 +330,6 @@ def build_parser():
                             "ricci-symmetry", "gauge", "trace-identity", "nabla-g"])
     p.add_argument("--theta", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--path-steps", type=int, default=256)
     p.add_argument("--fd-step", type=float, default=None)
     p.set_defaults(func=cmd_check)
 

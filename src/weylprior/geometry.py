@@ -6,9 +6,15 @@ phi from one tensor call at the points, and d g from one metric call on all
 stencil points, which gives the Levi-Civita coefficients.  Alpha and Weyl
 connections add their algebraic corrections.  Residual functions return the
 full arrays so callers can report max-norms against their tolerances.
+
+The two most recent bundles are kept, keyed on their exact inputs, so the
+checks at one point (and the Ricci tensor's stencil around it) share one
+evaluation; a repeated request makes no tensor call and returns the same
+read-only arrays, so every result is bitwise that of a fresh evaluation.
 """
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +30,12 @@ CLOSEDNESS_TOL = 1e-6
 
 # Gauss-Legendre subintervals on the segment from the anchor to each point
 POTENTIAL_STEPS = 24
+
+# bundles kept: a point and its GAMMA_DIFF Ricci stencil, which is what a
+# run of checks at one point asks for
+_MEMO_SIZE = 2
+_memo = []      # (model, key, bundle), most recent first
+_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -43,19 +55,43 @@ def _phi(c, ginv):
     return 0.5 * np.einsum("...ijk,...jk->...i", c, ginv)
 
 
-def _bundle(model, theta, chart, quad, diff):
+def _levi_civita(ginv, dg):
+    """Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk), symmetrised in
+    its lower indices."""
+    a = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
+    lc = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, a)
+    return 0.5 * (lc + np.swapaxes(lc, -1, -2))
+
+
+def _evaluate_bundle(model, theta, chart, quad, diff):
     """g, g^-1, C, phi, d g (central differences of the quadrature metric) and
-    the Levi-Civita coefficients
-    Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk),
-    from one tensor call at the points and one metric call on their stencil."""
+    the Levi-Civita coefficients, from one tensor call at the points and one
+    metric call on their stencil."""
     met, c = metric_and_cubic(model, theta, chart, quad)
     ginv = inverse_metric(met)
     dg = gradient(lambda t: fisher_metric(model, t, chart, quad).g, theta,
                   diff, model.chart(chart).interior)
-    a = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
-    lc = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, a)
-    lc = 0.5 * (lc + np.swapaxes(lc, -1, -2))
-    return _Bundle(met.g, ginv, c, _phi(c, ginv), dg, lc)
+    return _Bundle(met.g, ginv, c, _phi(c, ginv), dg, _levi_civita(ginv, dg))
+
+
+def _bundle(model, theta, chart, quad, diff):
+    """The bundle at ``theta``, evaluated once for the same model object,
+    chart, quadrature, step and exact coordinates among the last _MEMO_SIZE
+    requests; its arrays are read-only."""
+    theta = np.asarray(theta, dtype=float)
+    key = (chart, quad, diff, theta.shape, theta.tobytes())
+    with _memo_lock:
+        for k, (m, mkey, b) in enumerate(_memo):
+            if m is model and mkey == key:
+                _memo.insert(0, _memo.pop(k))
+                return b
+    b = _evaluate_bundle(model, theta, chart, quad, diff)
+    for arr in vars(b).values():
+        arr.flags.writeable = False
+    with _memo_lock:
+        _memo.insert(0, (model, key, b))
+        del _memo[_MEMO_SIZE:]
+    return b
 
 
 def _gamma(b, kind, alpha=None):
@@ -78,7 +114,8 @@ def _gamma(b, kind, alpha=None):
 def levi_civita(model, theta, chart=None, quad=None, diff=None):
     """Metric connection gamma[..., i, j, k] = Gamma^i_jk at one point (m,) or
     a stack (P, m), like the tensors."""
-    return _gamma(_bundle(model, theta, chart, quad, diff), "levi_civita")
+    # a copy: the bundle's own array is shared with later requests
+    return _gamma(_bundle(model, theta, chart, quad, diff), "levi_civita").copy()
 
 
 def alpha_connection(model, theta, alpha, chart=None, quad=None, diff=None):
@@ -190,32 +227,25 @@ def trace_identity_residual(model, theta, chart=None, quad=None, diff=None):
             - np.einsum("...iji->...j", b.lc) - 0.5 * model.dim * b.phi)
 
 
-def gauge_rescale_check(model, lam, start, end, steps, chart=None, quad=None,
-                        diff=None):
-    """Relative mismatch of the Weyl translation from ``start`` to ``end``
-    computed in two gauges.
+def gauge_residual(model, theta, lam, chart=None, quad=None, diff=None):
+    """Weyl connection of (e^lam g, phi - d lam) minus that of (g, phi), at one
+    point (m,) or a stack (P, m); zero because the Weyl connection depends on
+    the Weyl structure, not on the gauge that represents it.
 
-    Branch A uses (g, phi); branch B uses (e^lam g, phi - d lam), mapped back
-    to the same initial scalar product.  The Weyl structure axiom makes the
-    two translated products equal.  Both scale the same scalar product, so
-    the mismatch is that of the scale factors alone and g is not evaluated.
-    Both branches integrate along the straight segment with ``steps``
-    Gauss-Legendre subintervals.  ``lam`` maps a stack of points (K, m) to
-    values (K,) and one point (m,) to a scalar, e.g. ``lambda t: t[..., 0]``;
-    d lam is taken at all nodes in one ``gradient`` call.
+    ``lam`` maps a stack of points (K, m) to values (K,) and one point (m,) to
+    a scalar, e.g. ``lambda t: t[..., 0]``.  The Levi-Civita coefficients of
+    e^lam g come from d(e^lam g), differenced on its own stencil with one
+    metric call; d lam is differenced on the same stencil.
     """
-    p = np.asarray(start, dtype=float)
-    q = np.asarray(end, dtype=float)
-
-    def phi(ts):
-        return weyl_one_form(model, ts, chart, quad)
-
-    def integral(omega):
-        return segment_integrals(omega, p[None], q[None], steps)[0]
-
-    def phi_gauged(ts):
-        return phi(ts) - gradient(lam, ts, diff, model.chart(chart).interior)
-
-    val_a = np.exp(integral(phi))
-    val_b = np.exp(integral(phi_gauged)) * np.exp(lam(q)) * np.exp(-lam(p))
-    return abs(val_a - val_b) / max(abs(val_a), np.finfo(float).tiny)
+    theta = np.asarray(theta, dtype=float)
+    b = _bundle(model, theta, chart, quad, diff)
+    interior = model.chart(chart).interior
+    scale = np.exp(lam(theta))[..., None, None]
+    dlam = gradient(lam, theta, diff, interior)
+    dg = gradient(lambda t: np.exp(lam(t))[:, None, None]
+                  * fisher_metric(model, t, chart, quad).g,
+                  theta, diff, interior)
+    ginv = b.ginv / scale
+    gauged = replace(b, g=scale * b.g, ginv=ginv, phi=b.phi - dlam, dg=dg,
+                     lc=_levi_civita(ginv, dg))
+    return _gamma(gauged, "weyl") - _gamma(b, "weyl")

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from weylprior import get_model
+from weylprior import geometry, get_model
 from weylprior.numerics import sample_nodes
+
+
+@pytest.fixture(autouse=True)
+def fresh_bundles():
+    """Start every test with no kept geometry bundle, so a bundle evaluated by
+    an earlier test never hides a patch of what the bundle reads (``_phi``,
+    the kernels, ``tensors._tensors``)."""
+    geometry._memo.clear()
 
 
 @pytest.fixture(scope="session")

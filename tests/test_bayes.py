@@ -1,6 +1,7 @@
 """Grid posteriors: normalization, stability, invariances, consistency."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ class TestPosterior:
         ds2 = grid.axes[1].values()
         assert abs(mode[0] - xbar) <= (dmu[1] - dmu[0])
         assert abs(mode[1] - s2) <= (ds2[1] - ds2[0])
+
+    def test_vanishing_likelihood_is_reported(self, g1):
+        # (1e200 - mu)^2 overflows, so every log-likelihood is -inf
+        prior = jeffreys_field(g1, g1_grid((5, 5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="vanishing likelihood at every grid point"):
+                grid_posterior(g1, prior, Dataset(np.array([0.5, 1e200])))
 
     def test_requires_grid_backed_prior(self, g1, obs_1000):
         prior = jeffreys_field(g1, g1_grid((5, 5)))

@@ -4,9 +4,9 @@ perfbench/run.py imports the program from src/ and calls it through a fixed
 set of names (see perfbench/workloads.py and perfbench/tracer.py); a renamed
 function, a changed signature or a result that a tracer hook cannot read
 shows up here as a failed run rather than only when the benchmark is next
-measured.  Every workload runs once, traced, and the cheapest one also runs
-untraced through the host-speed-scaled rounds that give the end-to-end
-metrics.
+measured.  Every workload runs once, traced, and the two with the shortest
+rounds also run untraced through the host-speed-scaled rounds that give the
+end-to-end metrics.
 """
 
 import json
@@ -43,6 +43,11 @@ def test_traced_poisson_posterior_run_is_correct():
 def test_untraced_poisson_posterior_rounds_are_correct():
     # a round shorter than the host-speed sampling interval fails this run
     bench_run("jeffreys-posterior-poisson", 1, 0)
+
+
+def test_untraced_identity_suite_rounds_are_correct():
+    # a round shorter than the host-speed sampling interval fails this run
+    bench_run("identity-suite", 1, 0)
 
 
 @pytest.mark.parametrize("workload", ["weyl-posterior-g1", "weyl-field-mv2",

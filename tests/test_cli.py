@@ -157,14 +157,6 @@ class TestCheck:
         assert code == 2
         assert f"--fd-step {float(step)}" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("steps", ["0", "-3"])
-    def test_bad_path_steps_exit_2(self, capsys, steps):
-        code, out, err = run(capsys, "check", "--model", "gaussian1d",
-                             "--what", "gauge", "--theta", "0.5,1.5",
-                             f"--path-steps={steps}")
-        assert code == 2 and out == ""
-        assert f"--path-steps {steps}" in json.loads(err)["error"]
-
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", [
         ("check", "--what", "duality", "--theta", "0.5,1.5"),
@@ -327,6 +319,17 @@ class TestPosterior:
                          "--out", str(out_path))
         assert code == 0
 
+    def test_vanishing_likelihood_exit_2(self, capsys, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_text("0.5\n1e200\n")
+        out_path = tmp_path / "post.csv"
+        code, out, err = run(capsys, "posterior", "--model", "gaussian1d",
+                             "--grid", self.GRID, "--data", str(data),
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == ("data has vanishing likelihood at "
+                                            "every grid point")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("model, grid, rows, bad", [
         ("bernoulli", "p=0.1:0.9:5", ["0", "1", "2"], "row 3: observation 2.0"),
@@ -385,7 +388,6 @@ BAD_ALPHA = st.tuples(st.just("alpha"), NON_FINITE.map(repr))
 BAD_CASES = st.one_of(
     st.tuples(st.just("check"), st.one_of(
         BAD_ALPHA,
-        st.tuples(st.just("path-steps"), st.integers(max_value=0).map(str)),
         st.tuples(st.just("theta"), BAD_POINTS))),
     st.tuples(st.just("prior"), st.one_of(
         BAD_ALPHA,
@@ -398,7 +400,7 @@ def _argv(command, flag, value, what):
     value; ``--flag=value`` keeps values such as -inf from reading as flags."""
     if command == "check":
         head = ["check", "--model", "gaussian1d", "--what", what]
-        flags = {"theta": "0.5,1.5", "alpha": "1", "path-steps": "8"}
+        flags = {"theta": "0.5,1.5", "alpha": "1"}
     else:
         head = ["prior", "--model", "gaussian1d", "--kind", "alpha",
                 "--grid", "mu=-1:1:3,s2=0.5:2:3", "--out", os.devnull]

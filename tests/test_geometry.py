@@ -14,7 +14,7 @@ from weylprior import (
 from weylprior.geometry import (
     closedness_residual,
     duality_residual,
-    gauge_rescale_check,
+    gauge_residual,
     nabla_g_identity_residual,
     ricci_tensor,
     trace_identity_residual,
@@ -184,10 +184,13 @@ class TestWeylTranslate:
         assert weyl_scale(g1, loop) == pytest.approx(1.0, abs=1e-12)
 
     def test_gauge_rescale_invariance(self, g1):
-        lam_scale = lambda t: np.log(t[..., 1])
-        assert gauge_rescale_check(g1, lam_scale, [0.0, 1.0], [0.0, 4.0], 256) < 1e-6
-        lam_mu = lambda t: t[..., 0]
-        assert gauge_rescale_check(g1, lam_mu, [0.0, 1.0], [2.0, 1.0], 256) < 1e-6
+        pts = np.array([[0.0, 1.0], [0.0, 4.0], [2.0, 1.0]])
+        for lam in (lambda t: np.log(t[..., 1]), lambda t: t[..., 0]):
+            res = gauge_residual(g1, pts, lam)
+            assert res.shape == (3, 2, 2, 2)
+            assert np.max(np.abs(res)) < 1e-9
+            for p, theta in enumerate(pts):
+                assert np.array_equal(gauge_residual(g1, theta, lam), res[p])
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +467,19 @@ class TestStackedConnections:
                 assert np.array_equal(got[p], conn(theta))
 
 
+def count_tensor_calls(monkeypatch):
+    from weylprior import tensors
+    calls = []
+    inner = tensors._tensors
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tensors, "_tensors", counted)
+    return calls
+
+
 class TestWorkCount:
     CHECKS = [("closedness", 1.0), ("duality", 1.0), ("nabla-g", -2.0),
               ("weyl-compat", 1.0), ("trace-identity", 1.0),
@@ -476,19 +492,171 @@ class TestWorkCount:
     ])
     def test_at_most_four_stacked_tensor_calls(self, monkeypatch, model_id, theta,
                                                what, alpha):
-        from weylprior import cli, tensors
+        from weylprior import cli
         model = get_model(model_id)
-        calls = []
-        inner = tensors._tensors
-
-        def counted(*args, **kwargs):
-            calls.append(np.shape(args[1]))
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(tensors, "_tensors", counted)
-        res, tol = cli.run_check(model, what, np.asarray(theta), alpha, path_steps=8)
+        calls = count_tensor_calls(monkeypatch)
+        res, tol = cli.run_check(model, what, np.asarray(theta), alpha)
         assert res < tol
         assert 1 <= len(calls) <= 4, calls
+
+
+# the per-point checks of an identity-suite round (perfbench/workloads.py)
+IDENTITY_SUITE = ([("closedness", 1.0), ("weyl-compat", 1.0), ("trace-identity", 1.0)]
+                  + [(what, a) for a in (-2.0, 0.0, 1.0) for what in ("duality", "nabla-g")]
+                  + [("ricci-symmetry", a) for a in (-2.0, 0.0, 1.0, 2.0)])
+
+
+def suite_at(model, theta):
+    """The identity-suite's 14 check residuals and the Levi-Civita Ricci
+    tensor at one point."""
+    from weylprior import cli
+    out = [cli.run_check(model, what, theta, alpha)[0] for what, alpha in IDENTITY_SUITE]
+    return out + [ricci_tensor(model, theta, "levi_civita")]
+
+
+class TestBundleMemo:
+    def test_identity_suite_point_makes_five_tensor_calls(self, g1, monkeypatch):
+        # closedness (one metric-and-cubic call on its stencil), the bundle at
+        # the point and the bundle on its Ricci stencil (two calls each); with
+        # no bundle kept, the 18 bundle requests would make 36 calls
+        calls = count_tensor_calls(monkeypatch)
+        suite_at(g1, np.array([0.5, 1.5]))
+        assert len(calls) == 5, calls
+        suite_at(g1, np.array([-1.0, 0.7]))
+        assert len(calls) == 10, calls
+
+    @pytest.mark.parametrize("model_id,theta", [
+        ("gaussian1d", [0.5, 1.5]),
+        ("gaussian_mv:2", list(vech_theta([0.1, 0.0], [[1.3, 0.2], [0.2, 1.0]]))),
+        ("poisson", [3.0]),
+    ])
+    def test_results_bitwise_equal_to_fresh_bundles(self, model_id, theta):
+        from weylprior import cli
+        model = get_model(model_id)
+        theta = np.asarray(theta)
+
+        def everything(fresh):
+            out = []
+            for what, alpha in IDENTITY_SUITE + [("gauge", 1.0)]:
+                if fresh:
+                    geometry._memo.clear()
+                out.append(cli.run_check(model, what, theta, alpha)[0])
+            for kind, alpha in (("levi_civita", None), ("alpha", -2.0), ("weyl", None)):
+                if fresh:
+                    geometry._memo.clear()
+                out.append(ricci_tensor(model, theta, kind, alpha))
+            for conn in (lambda: levi_civita(model, theta),
+                         lambda: alpha_connection(model, theta, 1.0),
+                         lambda: weyl_connection(model, theta)):
+                if fresh:
+                    geometry._memo.clear()
+                out.append(conn())
+            return out
+
+        shared = everything(fresh=False)
+        fresh = everything(fresh=True)
+        assert len(shared) == len(fresh)
+        for a, b in zip(shared, fresh):
+            assert np.array_equal(a, b)
+
+    def test_writing_a_returned_connection_changes_no_later_result(self, g1):
+        theta = np.array([0.5, 1.5])
+        for conn in (lambda: levi_civita(g1, theta),
+                     lambda: alpha_connection(g1, theta, 1.0),
+                     lambda: weyl_connection(g1, theta)):
+            first = conn()
+            want = first.copy()
+            first[...] = 7.0
+            assert np.array_equal(conn(), want)
+
+    def test_kept_arrays_are_read_only(self, g1):
+        b = geometry._bundle(g1, np.array([0.5, 1.5]), None, None, None)
+        for arr in (b.g, b.ginv, b.C, b.phi, b.dg, b.lc):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+    def test_reused_only_for_the_same_inputs(self, g1, monkeypatch):
+        from weylprior.numerics import DiffSpec, QuadratureSpec
+        theta = np.array([0.5, 1.5])
+        calls = count_tensor_calls(monkeypatch)
+        base = levi_civita(g1, theta)
+        assert len(calls) == 2
+        assert np.array_equal(levi_civita(g1, theta.tolist()), base)
+        assert len(calls) == 2
+        variants = [lambda: levi_civita(g1, theta, chart="mu_sigma"),
+                    lambda: levi_civita(g1, theta, quad=QuadratureSpec(8)),
+                    lambda: levi_civita(g1, theta, diff=DiffSpec(rel_step=1e-3)),
+                    lambda: levi_civita(get_model("gaussian1d"), theta),
+                    lambda: levi_civita(g1, theta + [0.0, 1e-12]),
+                    lambda: levi_civita(g1, theta[None])]
+        for k, variant in enumerate(variants, start=1):
+            variant()
+            assert len(calls) == 2 + 2 * k
+
+
+    def test_threads_get_their_own_points_results(self, g1):
+        import sys
+        import threading
+        pts = [np.array([0.5, 1.5]), np.array([-1.0, 0.7]), np.array([2.0, 3.0])]
+        want = [levi_civita(g1, t) for t in pts]
+        errors = []
+
+        def work(offset):
+            try:
+                for k in range(24):
+                    p = (k + offset) % len(pts)
+                    if not np.array_equal(levi_civita(g1, pts[p]), want[p]):
+                        errors.append(p)
+            except Exception as exc:    # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(geometry._memo) == geometry._MEMO_SIZE
+
+
+def scaled_weyl_phi_terms(monkeypatch, factor):
+    """Patch ``geometry._gamma`` so the Weyl connection's phi terms are
+    scaled by ``factor``."""
+    inner = geometry._gamma
+
+    def gamma(b, kind, alpha=None):
+        out = inner(b, kind, alpha)
+        return b.lc + factor * (out - b.lc) if kind == "weyl" else out
+
+    monkeypatch.setattr(geometry, "_gamma", gamma)
+
+
+class TestGaugeCheckCanFail:
+    def test_run_check_fails(self, g1, monkeypatch):
+        from weylprior import cli
+        theta = np.array([0.5, 1.5])
+        res, tol = cli.run_check(g1, "gauge", theta)
+        assert res < tol
+        scaled_weyl_phi_terms(monkeypatch, 1.1)
+        res, tol = cli.run_check(g1, "gauge", theta)
+        assert res > tol
+
+    def test_cli_check_fails(self, monkeypatch, capsys):
+        import json
+        from weylprior.cli import main
+        scaled_weyl_phi_terms(monkeypatch, 1.1)
+        code = main(["check", "--model", "gaussian1d", "--what", "gauge",
+                     "--theta", "0.5,1.5"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["pass"] is False
+        assert payload["max_residual"] > payload["tolerance"]
 
 
 # ---------------------------------------------------------------------------
