@@ -78,18 +78,35 @@ def grid_posterior(model: ModelSpec, prior: PriorField, data: Dataset,
     obs, counts = np.unique(data.observations, axis=0, return_counts=True)
     pts = prior.points
     model.require_interior(pts, ch)
+    refs = ch.to_reference(pts)
     loglik = np.empty(len(pts))
     # an observation far in a tail overflows its log-density to -inf, which
     # the check below reports when it leaves no grid point finite
     with np.errstate(over="ignore"):
-        for k, t in enumerate(ch.to_reference(pts)):
+        for k, t in enumerate(refs):
             loglik[k] = math.fsum((counts * model.log_density(obs, t)).tolist())
     logpost = loglik + np.log(prior.values)
     if not np.any(np.isfinite(logpost)):
-        raise DataError("data has vanishing likelihood at every grid point")
+        raise DataError(_vanishing(model, refs, data))
     logvol = np.log(prior.grid.cell_volumes())
     norm = logsumexp(logpost + logvol)
     log_values = logpost - norm
     masses = np.exp(log_values + logvol)
     return PosteriorGrid(pts, log_values, masses, grid=prior.grid)
 
+
+def _vanishing(model, refs, data):
+    """The error for a likelihood that vanishes at every grid point, naming the
+    first observation in input order whose log-density is -inf at all of the
+    grid's reference-chart points ``refs``, if there is one."""
+    msg = "data has vanishing likelihood at every grid point"
+    # only on this error path: a stable sort for the first indices costs
+    # time and memory on every posterior
+    obs, first = np.unique(data.observations, axis=0, return_index=True)
+    with np.errstate(over="ignore"):
+        dead = np.all([model.log_density(obs, t) == -np.inf for t in refs], axis=0)
+    if not dead.any():
+        return msg
+    k = np.flatnonzero(dead)[np.argmin(first[dead])]
+    return (f"{msg}: {data.source}: row {first[k] + 1}: observation "
+            f"{obs[k].tolist()} has log-density -inf at every grid point")

@@ -6,6 +6,9 @@ phi from one tensor call at the points, and d g from one metric call on all
 stencil points, which gives the Levi-Civita coefficients.  Alpha and Weyl
 connections add their algebraic corrections.  Residual functions return the
 full arrays so callers can report max-norms against their tolerances.
+``weyl_one_form``, which the potential integrates, needs no C: it takes phi
+from the trace kernel (``tensors.cubic_trace``), so the bundle's phi and
+``weyl_one_form`` reach the same value by two routes.
 
 The two most recent bundles are kept, keyed on their exact inputs, so the
 checks at one point (and the Ricci tensor's stencil around it) share one
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import ClosednessError, DomainError
 from .numerics import DiffSpec, gradient, segment_integrals
-from .tensors import fisher_metric, inverse_metric, metric_and_cubic
+from .tensors import cubic_trace, fisher_metric, inverse_metric, metric_and_cubic
 
 # FD of connection coefficients sits on top of FD of the metric; a larger
 # step keeps the amplified roundoff of the inner differences in check.
@@ -130,11 +133,11 @@ def weyl_connection(model, theta, chart=None, quad=None, diff=None):
 
 
 def weyl_one_form(model, theta, chart=None, quad=None):
-    """phi_i = 1/2 C_ijk g^jk, the trace 1-form of the cubic tensor, at one
-    point (m,) or at every row of a stack (P, m) in one stacked evaluation of
-    the tensors; phi has the shape of ``theta``."""
-    met, c = metric_and_cubic(model, theta, chart, quad)
-    return _phi(c, inverse_metric(met))
+    """phi_i = 1/2 C_ijk g^jk = 1/2 E[d_i l (dl)^T g^-1 dl], the trace 1-form
+    of the cubic tensor, at one point (m,) or at every row of a stack (P, m)
+    in one stacked evaluation of the trace, which never builds C; phi has the
+    shape of ``theta``.  The bundle's ``phi`` reaches the same value from C."""
+    return 0.5 * cubic_trace(model, theta, chart, quad)
 
 
 def closedness_residual(model, theta, chart=None, quad=None, diff=None):

@@ -1,18 +1,24 @@
-"""Weighted contraction kernels behind the Fisher metric and the cubic tensor.
+"""Weighted contraction kernels behind the Fisher metric, the cubic tensor
+and its trace.
 
 Given per-node weights w (P, q) and per-node score vectors s (P, q, m) for a
 stack of P points:
 
     pair_contract_stack:   G[p, i, j]    = sum_n w[p, n] s[p, n, i] s[p, n, j]
     triple_contract_stack: T[p, i, j, k] = sum_n w[p, n] s[p, n, i] s[p, n, j] s[p, n, k]
+    trace_contract_stack:  t[p, i]       = sum_n w[p, n] s[p, n, i] (s[p, n]^T A[p] s[p, n])
 
-Both are batched matrix products over the node axis: with ws = w s, G is
-ws^T s (m, q) @ (q, m) and T is ws^T (s s^T) (m, q) @ (q, m*m), one BLAS
-call per point.  The results are then symmetrised so that every permutation
-of an index tuple holds the same bit pattern.  A point's result does not
-depend on the other points of its stack; it does depend on q, so a stack's
-points share one node count (discrete supports are not padded, see
-``numerics.sample_nodes``).  Results are C-ordered.
+All three are batched matrix products over the node axis: with ws = w s, G
+is ws^T s (m, q) @ (q, m) and T is ws^T (s s^T) (m, q) @ (q, m*m), one BLAS
+call per point.  With A = g^-1, t is the trace C_ijk g^jk of the cubic
+tensor, taken node by node from the quadratic forms s^T g^-1 s (one
+(q, m) @ (m, m) product, an elementwise product and its row sums as a
+(q, m) @ (m,) product) and one (1, q) @ (q, m) product, so it costs about
+2 q m^2 per point against q m^3 for T.  G and T are symmetrised so that
+every permutation of an index tuple holds the same bit pattern.  A point's
+result does not depend on the other points of its stack; it does depend on
+q, so a stack's points share one node count (discrete supports are not
+padded, see ``numerics.sample_nodes``).  Results are C-ordered.
 """
 
 from functools import lru_cache
@@ -64,3 +70,12 @@ def triple_contract_stack(w, s):
         v += a[:, k]
     v /= 6.0
     return np.take(v, slot, axis=1).reshape(p, m, m, m)
+
+
+def trace_contract_stack(w, s, a):
+    """t[p,i] = sum_n w[p,n] s[p,n,i] (s[p,n]^T a[p] s[p,n]); with a = g^-1 this
+    is C_ijk g^jk without building C."""
+    # the row sums of (s a) * s as a product with ones: np.sum over a short
+    # last axis costs twice as much
+    qf = ((s @ a) * s) @ np.ones(s.shape[-1])                  # (P, q)
+    return ((w * qf)[:, None, :] @ s)[:, 0]

@@ -324,12 +324,13 @@ def _gaussian_mv(n):
         x = samples(x)
         p = np.linalg.inv(sig)
         z = (x - mu[..., None, :]) @ p         # (..., q, n), = Sigma^{-1}(x-mu)
-        # dl/dSigma as a matrix
-        a = 0.5 * (z[..., :, None] * z[..., None, :] - p[..., None, :, :])
-        cols = [z[..., i] for i in range(n)]
-        for i, j in idx:
-            cols.append(a[..., i, j] if i == j else 2.0 * a[..., i, j])
-        return np.stack(cols, axis=-1)
+        out = np.empty(z.shape[:-1] + (m,))
+        out[..., :n] = z
+        # dl/dSigma_ij = 1/2 (z_i z_j - P_ij), counted twice off the diagonal
+        for k, (i, j) in enumerate(idx):
+            a = 0.5 * (z[..., i] * z[..., j] - p[..., i, j, None])
+            out[..., n + k] = a if i == j else 2.0 * a
+        return out
 
     def std(t):
         mu, sig = split(t)

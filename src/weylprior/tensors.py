@@ -1,21 +1,25 @@
-"""Fisher metric and cubic (Amari-Chentsov) tensor over stacks of points.
+"""Fisher metric, cubic (Amari-Chentsov) tensor and its trace over stacks of
+points.
 
-Both are quadrature expectations of products of score components.  Every
+All are quadrature expectations of products of score components.  Every
 public function takes one point (m,) or a stack of points (P, m).  The
 points of a stack are grouped by node count (one group for a continuous
 model, one per support width for a discrete stack of more than one point,
 since nothing pads a support), each group is split into chunks whose
 largest temporary stays under CHUNK_BYTES, and each chunk builds sample
-nodes, scores and both contractions, batched matrix products, in a few
-NumPy calls.  The kernels return exactly symmetric arrays, which are
-checked here over the whole stack (metric finite and positive-definite,
-cubic tensor finite); a failed check names the first offending point in
-stack order.  The Cholesky factor of the SPD check is kept, and g^-1 and
-sqrt(det g) are taken from it.  Chart-native tensors are obtained by
-pushing the reference-chart scores through the chart Jacobian before
-contraction, so no separate transformation step is needed.  A single point
-is evaluated as a one-row stack, so its values are bitwise those it gets
-in any stack.
+nodes, scores and the metric contraction, plus one of two more: the cubic
+tensor C, or its trace C_ijk g^jk = E[s_i (s^T g^-1 s)], with g^-1 from the
+chunk's own Cholesky factor, which never builds C.  All are batched matrix
+products in a few NumPy calls.  The kernels return exactly symmetric
+arrays, which are checked here over the whole stack (metric finite and
+positive-definite, cubic tensor or trace finite); a failed check names the
+first offending point in stack order.  A chunk whose metric does not factor
+gets a NaN trace, and the stack's SPD check names its point.  The Cholesky
+factor of the SPD check is kept, and g^-1 and sqrt(det g) are taken from
+it.  Chart-native tensors are obtained by pushing the reference-chart
+scores through the chart Jacobian before contraction, so no separate
+transformation step is needed.  A single point is evaluated as a one-row
+stack, so its values are bitwise those it gets in any stack.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,8 @@ from .errors import NotSPDError
 from .numerics import default_quadrature, nodes_per_point, sample_nodes
 
 # bound on one chunk's largest temporary, the score products s s^T that the
-# cubic contraction multiplies by: q * m * m doubles per point
+# cubic contraction multiplies by: q * m * m doubles per point (the trace
+# contraction's largest temporary is q * m, and it uses the same chunks)
 CHUNK_BYTES = 1 << 19
 
 
@@ -71,21 +76,43 @@ def _require_spd(g, thetas):
         f"(quadrature or domain misconfiguration)")
 
 
-def _require_finite(c, thetas):
-    if not np.isfinite(c).all():
-        finite = np.isfinite(c).all(axis=(1, 2, 3))
-        raise NotSPDError(f"non-finite cubic tensor at theta={_name(thetas, finite)}")
+def _require_finite(c, thetas, what):
+    finite = np.isfinite(c).reshape(len(c), -1).all(axis=1)
+    if not finite.all():
+        raise NotSPDError(f"non-finite {what} at theta={_name(thetas, finite)}")
 
 
-def _contract(model, ch, thetas, theta_ref, quad, cubic, width):
-    """Unchecked metric and cubic tensor of points that share one node count
+def _inverse(chol):
+    """g^{-1} = L^{-T} L^{-1} from the Cholesky factor L, exactly symmetric."""
+    inv_l = np.linalg.inv(chol)
+    inv = np.swapaxes(inv_l, -1, -2) @ inv_l
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+
+
+def _trace(w, s, g):
+    """C_ijk g^jk of one chunk, with g^-1 from the chunk's Cholesky factor; NaN
+    if a metric of the chunk does not factor (``_require_spd`` names it)."""
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return np.full(g.shape[:-1], np.nan)
+    return kernels.trace_contract_stack(w, s, _inverse(chol))
+
+
+def _contract(model, ch, thetas, theta_ref, quad, extra, width):
+    """Unchecked metric and, by ``extra``, the cubic tensor ("cubic"), its
+    trace ("trace") or nothing (None), of points that share one node count
     (``width`` nodes for a discrete model)."""
     x, w = sample_nodes(model, theta_ref, quad, width)
     s = model.score_ref(x, theta_ref)
     if ch.name != model.reference:
         s = s @ ch.jacobian(thetas)
     g = kernels.pair_contract_stack(w, s)
-    return g, kernels.triple_contract_stack(w, s) if cubic else None
+    if extra == "cubic":
+        return g, kernels.triple_contract_stack(w, s)
+    if extra == "trace":
+        return g, _trace(w, s, g)
+    return g, None
 
 
 def _groups(q, p):
@@ -100,8 +127,11 @@ def _groups(q, p):
     return [(np.flatnonzero(group == k), int(n)) for k, n in enumerate(widths)]
 
 
-def _evaluate(model, ch, thetas, quad, cubic):
-    """Metric, Cholesky factor and cubic tensor arrays of a stack of points
+_EXTRA_NAME = {"cubic": "cubic tensor", "trace": "trace of the cubic tensor"}
+
+
+def _evaluate(model, ch, thetas, quad, extra):
+    """Metric, Cholesky factor and ``extra`` arrays of a stack of points
     interior to the chart ``ch``; a failed check names the first offending
     point in stack order."""
     if quad is None and model.sample_space.kind == "continuous":
@@ -110,31 +140,32 @@ def _evaluate(model, ch, thetas, quad, cubic):
     p, m = thetas.shape
     groups = _groups(nodes_per_point(model, theta_ref, quad), p)
     if len(groups) == 1 and 0 < p <= _chunk_rows(groups[0][1], m):
-        g, c = _contract(model, ch, thetas, theta_ref, quad, cubic, groups[0][1])
+        g, c = _contract(model, ch, thetas, theta_ref, quad, extra, groups[0][1])
     else:
         g = np.empty((p, m, m))
-        c = np.empty((p, m, m, m)) if cubic else None
+        c = None if extra is None else np.empty(
+            (p, m, m, m) if extra == "cubic" else (p, m))
         for idx, q in groups:
             rows = _chunk_rows(q, m)
             for a in range(0, len(idx), rows):
                 part = idx[a:a + rows]
                 g[part], c_part = _contract(model, ch, thetas[part], theta_ref[part],
-                                            quad, cubic, q)
-                if cubic:
+                                            quad, extra, q)
+                if extra is not None:
                     c[part] = c_part
     chol = _require_spd(g, thetas)
-    if cubic:
-        _require_finite(c, thetas)
+    if extra is not None:
+        _require_finite(c, thetas, _EXTRA_NAME[extra])
     return g, chol, c
 
 
-def _tensors(model, theta, chart, quad, cubic=True):
-    """(MetricTensor, C) at one point (m,) or a stack (P, m); C is None unless
-    ``cubic``."""
+def _tensors(model, theta, chart, quad, extra="cubic"):
+    """(MetricTensor, X) at one point (m,) or a stack (P, m), where X is C
+    (``extra`` "cubic"), C_ijk g^jk ("trace") or None."""
     theta = np.asarray(theta, dtype=float)
     ch = model.require_interior(theta, chart)
     g, chol, c = _evaluate(model, ch, theta if theta.ndim == 2 else theta[None],
-                           quad, cubic)
+                           quad, extra)
     if theta.ndim == 1:
         g, chol, c = g[0], chol[0], None if c is None else c[0]
     return MetricTensor(g, chol), c
@@ -142,7 +173,7 @@ def _tensors(model, theta, chart, quad, cubic=True):
 
 def fisher_metric(model, theta, chart=None, quad=None):
     """g_ij = E[ (d_i l)(d_j l) ], SPD-checked."""
-    return _tensors(model, theta, chart, quad, cubic=False)[0]
+    return _tensors(model, theta, chart, quad, None)[0]
 
 
 def amari_chentsov(model, theta, chart=None, quad=None):
@@ -157,12 +188,17 @@ def metric_and_cubic(model, theta, chart=None, quad=None):
     return _tensors(model, theta, chart, quad)
 
 
+def cubic_trace(model, theta, chart=None, quad=None):
+    """The trace C_ijk g^jk = E[ (d_i l) (dl)^T g^-1 (dl) ], (m,) or (P, m),
+    without building C; checked to be finite, and the metric from the same
+    nodes is SPD-checked."""
+    return _tensors(model, theta, chart, quad, "trace")[1]
+
+
 def inverse_metric(metric: MetricTensor):
     """g^{-1} = L^{-T} L^{-1} from the Cholesky factor L, exactly symmetric;
     works on one metric or a stack."""
-    inv_l = np.linalg.inv(metric.chol)
-    inv = np.swapaxes(inv_l, -1, -2) @ inv_l
-    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+    return _inverse(metric.chol)
 
 
 def sqrt_det_metric(metric: MetricTensor):

@@ -143,12 +143,20 @@ class TestPosterior:
         assert abs(mode[1] - s2) <= (ds2[1] - ds2[0])
 
     def test_vanishing_likelihood_is_reported(self, g1):
-        # (1e200 - mu)^2 overflows, so every log-likelihood is -inf
+        # (1e200 - mu)^2 overflows, so every log-likelihood is -inf; the error
+        # names the first such observation in input order
         prior = jeffreys_field(g1, g1_grid((5, 5)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match="vanishing likelihood at every grid point"):
+            with pytest.raises(DataError, match="vanishing likelihood at every grid point"
+                                                r": inline: row 2: observation 1e\+200 "):
                 grid_posterior(g1, prior, Dataset(np.array([0.5, 1e200])))
+            with pytest.raises(DataError, match=r"row 1: observation 1e\+200 has "
+                                                "log-density -inf at every grid point"):
+                grid_posterior(g1, prior, Dataset(np.array([1e200, 0.5])))
+            # input order, not the sorted order of the distinct observations
+            with pytest.raises(DataError, match=r"row 2: observation 1e\+200 "):
+                grid_posterior(g1, prior, Dataset(np.array([0.5, 1e200, -1e200, 1e200])))
 
     def test_requires_grid_backed_prior(self, g1, obs_1000):
         prior = jeffreys_field(g1, g1_grid((5, 5)))

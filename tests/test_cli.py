@@ -241,6 +241,29 @@ class TestPrior:
         assert "grid axis" in json.loads(err)["error"]
 
 
+    def test_weyl_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the Weyl 1-form's trace kernel is batched matrix products, like the
+        # metric's; OpenBLAS threads must not move a bit of the field
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out_path = tmp_path / f"weyl-{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "weylprior.cli", "prior",
+                 "--model", "gaussian_mv:2", "--kind", "weyl",
+                 "--anchor", "0,0,1,0,1",
+                 "--grid", "mu0=0:0:1,mu1=-0.5:0.5:2,s00=0.8:1.6:3,"
+                           "s01=-0.2:0.2:2,s11=0.9:1.4:2",
+                 "--out", str(out_path)],
+                env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+            outs.append(out_path.read_bytes())
+        assert len(read_csv(tmp_path / "weyl-1.csv")[2]) == 24
+        assert outs[0] == outs[1]
+
     def test_axis_count_differs_from_chart_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "prior", "--model", "gaussian1d",
                            "--kind", "jeffreys", "--grid", "mu=-2:2:3",
@@ -320,16 +343,21 @@ class TestPosterior:
         assert code == 0
 
     def test_vanishing_likelihood_exit_2(self, capsys, tmp_path):
-        data = tmp_path / "obs.csv"
-        data.write_text("0.5\n1e200\n")
-        out_path = tmp_path / "post.csv"
-        code, out, err = run(capsys, "posterior", "--model", "gaussian1d",
-                             "--grid", self.GRID, "--data", str(data),
-                             "--out", str(out_path))
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == ("data has vanishing likelihood at "
-                                            "every grid point")
-        assert not out_path.exists()
+        # the error names the first row whose log-density is -inf at every
+        # grid point
+        for rows, row in ((["0.5", "1e200"], 2), (["1e200", "0.5"], 1)):
+            data = tmp_path / "obs.csv"
+            data.write_text("\n".join(rows) + "\n")
+            out_path = tmp_path / "post.csv"
+            code, out, err = run(capsys, "posterior", "--model", "gaussian1d",
+                                 "--grid", self.GRID, "--data", str(data),
+                                 "--out", str(out_path))
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == (
+                f"data has vanishing likelihood at every grid point: {data}: "
+                f"row {row}: observation 1e+200 has log-density -inf at every "
+                "grid point")
+            assert not out_path.exists()
 
     @pytest.mark.parametrize("model, grid, rows, bad", [
         ("bernoulli", "p=0.1:0.9:5", ["0", "1", "2"], "row 3: observation 2.0"),

@@ -1,4 +1,5 @@
-"""Exact symmetry and accuracy of the stacked contraction kernels."""
+"""Exact symmetry, accuracy and stack independence of the stacked contraction
+kernels."""
 
 from itertools import permutations
 
@@ -105,6 +106,47 @@ def test_point_bitwise_equal_alone_and_in_any_stack(seed, q, m, p, data):
         one = slice(k, k + 1)
         assert np.array_equal(g[a], kernels.pair_contract_stack(w[one], s[one])[0])
         assert np.array_equal(t[a], kernels.triple_contract_stack(w[one], s[one])[0])
+
+
+def random_metric_inverse(seed, p, m):
+    """Symmetric positive-definite (p, m, m) matrices standing in for g^-1."""
+    a = np.random.default_rng(seed + 1).standard_normal((p, m, m))
+    return a @ np.swapaxes(a, 1, 2) + np.eye(m)
+
+
+def looped_trace(w, s, a):
+    """The per-node direct sum of w[n] s[n] (s[n]^T a s[n]), one node at a time."""
+    return sum(w[n] * s[n] * (s[n] @ a @ s[n]) for n in range(len(w)))
+
+
+def test_trace_matches_looped_reference():
+    # the workload shapes of test_triple_matches_looped_reference; the
+    # tolerance is 1e-12 of the summed magnitudes sum_n w |s| (|s|^T |a| |s|)
+    for seed, (q, m) in enumerate([(1024, 5), (64, 2), (512, 9), (57, 1)]):
+        w, s = random_case(seed, q, m, p=3)
+        a = random_metric_inverse(seed, 3, m)
+        t = kernels.trace_contract_stack(w, s, a)
+        assert t.shape == (3, m) and t.flags.c_contiguous
+        for k in range(3):
+            size = np.abs(s[k]) * np.einsum("ni,ij,nj->n", np.abs(s[k]), np.abs(a[k]),
+                                            np.abs(s[k]))[:, None]
+            err = np.abs(t[k] - looped_trace(w[k], s[k], a[k]))
+            assert np.all(err <= 1e-12 * (w[k] @ size)), err / (w[k] @ size)
+
+
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 2000), m=st.integers(1, 9),
+       p=st.integers(2, 5), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_trace_point_bitwise_equal_alone_and_in_any_stack(seed, q, m, p, data):
+    w, s = random_case(seed, q, m, p)
+    a = random_metric_inverse(seed % 1000, p, m)
+    # any sub-stack, in any order, with repeats
+    rows = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * p))
+    t = kernels.trace_contract_stack(w[rows], s[rows], a[rows])
+    for b, k in enumerate(rows):
+        one = slice(k, k + 1)
+        assert np.array_equal(t[b], kernels.trace_contract_stack(w[one], s[one],
+                                                                 a[one])[0])
 
 
 def test_backend_name_reported():

@@ -129,6 +129,39 @@ class TestScore:
         assert log_density(mv1, 1.9, theta[0]) == log_density(g1, 1.9, theta[0])
 
 
+def matrix_and_stack_mv_score(n, x, t):
+    """The gaussian_mv score as first written: dl/dSigma as an (..., q, n, n)
+    matrix, its vech columns gathered by np.stack."""
+    idx = vech_indices(n)
+    mu = t[..., :n]
+    sig = np.empty(t.shape[:-1] + (n, n))
+    for k, (i, j) in enumerate(idx):
+        sig[..., i, j] = sig[..., j, i] = t[..., n + k]
+    x = x[..., None] if n == 1 else x
+    p = np.linalg.inv(sig)
+    z = (x - mu[..., None, :]) @ p
+    a = 0.5 * (z[..., :, None] * z[..., None, :] - p[..., None, :, :])
+    cols = [z[..., i] for i in range(n)]
+    for i, j in idx:
+        cols.append(a[..., i, j] if i == j else 2.0 * a[..., i, j])
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mv_score_bits_match_matrix_and_stack_formula(n):
+    # the score writes its columns into one array; the float operations and
+    # their order are those of the matrix-and-stack formula, so the bits are too
+    model = get_model(f"gaussian_mv:{n}")
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((3, n, n))
+    sig = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(n)
+    theta = np.array([vech_theta(mu, s) for mu, s in zip(rng.standard_normal((3, n)), sig)])
+    x, _ = sample_nodes(model, theta)
+    got = model.score_ref(x, theta)
+    assert got.shape == (3, len(x[0]), model.dim)
+    assert np.array_equal(got, matrix_and_stack_mv_score(n, x, theta))
+
+
 class TestInvariants:
     @pytest.mark.parametrize("model_id,thetas", [
         ("gaussian1d", [[0.0, 1.0], [2.0, 0.5], [-1.0, 9.0]]),

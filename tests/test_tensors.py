@@ -1,5 +1,6 @@
 """Fisher metric and cubic tensor against closed forms."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,8 @@ from weylprior import (QuadratureSpec, amari_chentsov, fisher_metric, kernels,
                        weyl_one_form)
 from weylprior.errors import DomainError, NotSPDError
 from weylprior.numerics import sample_nodes
-from weylprior.tensors import (CHUNK_BYTES, inverse_metric, metric_and_cubic,
-                               sqrt_det_metric)
+from weylprior.tensors import (CHUNK_BYTES, _chunk_rows, cubic_trace, inverse_metric,
+                               metric_and_cubic, sqrt_det_metric)
 
 from conftest import vech_theta
 
@@ -129,6 +130,19 @@ class TestChecks:
         with pytest.raises(NotSPDError) as exc:
             weyl_one_form(mv2, theta, quad=QuadratureSpec(2))
         assert "theta=[0.0, 0.0, 1.0, 0.2, 1.0]" in str(exc.value)
+
+    def test_non_finite_trace_names_theta(self, g1, monkeypatch):
+        def nan_second_row(w, s, a):
+            t = np.einsum("pn,pni,pnj,pjk,pnk->pi", w, s, s, a, s)
+            t[1, 0] = np.nan
+            return t
+
+        monkeypatch.setattr(kernels, "trace_contract_stack", nan_second_row)
+        with pytest.raises(NotSPDError, match=r"non-finite trace of the cubic tensor "
+                                              r"at theta=\[0\.5, 2\.0\]"):
+            cubic_trace(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
+        with pytest.raises(NotSPDError, match=r"theta=\[0\.5, 2\.0\]"):
+            weyl_one_form(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
 
     def test_non_finite_cubic_raises(self, g1, monkeypatch):
         monkeypatch.setattr(kernels, "triple_contract_stack",
@@ -262,6 +276,27 @@ class TestStackErrors:
         with pytest.raises(NotSPDError, match=r"non-finite Fisher metric at "
                                               r"theta=\[0\.5, 2\.0\]"):
             metric_and_cubic(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
+
+    def test_not_spd_in_a_later_trace_chunk_names_its_point(self, g1, monkeypatch):
+        # the second chunk's factorisation fails at its sixth point: its trace
+        # is NaN, and the stack's SPD check names that point
+        pts = stack_points("gaussian1d", "mu_sigma2")
+        rows = _chunk_rows(64, 2)
+        assert len(pts) > 2 * rows
+        calls = []
+
+        def indefinite_in_second_chunk(w, s):
+            g = np.einsum("pn,pni,pnj->pij", w, s, s)
+            calls.append(len(g))
+            if len(calls) == 2:
+                g[5] = [[1.0, 2.0], [2.0, 1.0]]
+            return g
+
+        monkeypatch.setattr(kernels, "pair_contract_stack", indefinite_in_second_chunk)
+        want = "not positive-definite at theta=" + re.escape(str(pts[rows + 5].tolist()))
+        with pytest.raises(NotSPDError, match=want):
+            cubic_trace(g1, pts)
+        assert calls == [rows, rows, len(pts) - 2 * rows]
 
     def test_not_spd_names_its_point(self, g1, monkeypatch):
         def indefinite_last_row(w, s):
