@@ -103,8 +103,12 @@ def _vanishing(model, refs, data):
     # only on this error path: a stable sort for the first indices costs
     # time and memory on every posterior
     obs, first = np.unique(data.observations, axis=0, return_index=True)
+    dead = np.ones(len(obs), dtype=bool)
     with np.errstate(over="ignore"):
-        dead = np.all([model.log_density(obs, t) == -np.inf for t in refs], axis=0)
+        for t in refs:
+            dead &= model.log_density(obs, t) == -np.inf
+            if not dead.any():
+                break
     if not dead.any():
         return msg
     k = np.flatnonzero(dead)[np.argmin(first[dead])]

@@ -7,19 +7,20 @@ points of a stack are grouped by node count (one group for a continuous
 model, one per support width for a discrete stack of more than one point,
 since nothing pads a support), each group is split into chunks whose
 largest temporary stays under CHUNK_BYTES, and each chunk builds sample
-nodes, scores and the metric contraction, plus one of two more: the cubic
-tensor C, or its trace C_ijk g^jk = E[s_i (s^T g^-1 s)], with g^-1 from the
-chunk's own Cholesky factor, which never builds C.  All are batched matrix
-products in a few NumPy calls.  The kernels return exactly symmetric
-arrays, which are checked here over the whole stack (metric finite and
-positive-definite, cubic tensor or trace finite); a failed check names the
-first offending point in stack order.  A chunk whose metric does not factor
-gets a NaN trace, and the stack's SPD check names its point.  The Cholesky
-factor of the SPD check is kept, and g^-1 and sqrt(det g) are taken from
-it.  Chart-native tensors are obtained by pushing the reference-chart
-scores through the chart Jacobian before contraction, so no separate
-transformation step is needed.  A single point is evaluated as a one-row
-stack, so its values are bitwise those it gets in any stack.
+nodes, scores, the metric contraction and the metric's Cholesky factor,
+plus one of two more: the cubic tensor C, or its trace C_ijk g^jk =
+E[s_i (s^T g^-1 s)], with g^-1 from the chunk's factor, which never builds
+C.  All are batched matrix products in a few NumPy calls.  The kernels
+return exactly symmetric arrays, which are checked here over the whole
+stack (metric finite and positive-definite, cubic tensor or trace finite);
+a failed check names the first offending point in stack order.  A chunk
+whose metric does not factor gets NaN factors and a NaN trace, and the
+stack's SPD check names its point.  Each metric is factored once; the
+factor is kept, and g^-1 and sqrt(det g) are taken from it.  Chart-native
+tensors are obtained by pushing the reference-chart scores through the
+chart Jacobian before contraction, so no separate transformation step is
+needed.  A single point is evaluated as a one-row stack, so its values are
+bitwise those it gets in any stack.
 """
 
 from dataclasses import dataclass
@@ -53,21 +54,32 @@ def _name(thetas, ok):
     return np.asarray(thetas, dtype=float)[np.argmin(ok)].tolist()
 
 
-def _require_spd(g, thetas):
-    """Cholesky factors of the metrics g (P, m, m); NotSPDError names the
-    first point whose metric is non-finite or not positive-definite."""
-    # the Cholesky factorisation lets a NaN on the diagonal through
-    if not np.isfinite(g).all():
-        finite = np.isfinite(g).all(axis=(1, 2))
-        raise NotSPDError(f"non-finite Fisher metric at theta={_name(thetas, finite)}")
+def _factor(g):
+    """Cholesky factors of one chunk's metrics (P, m, m); all NaN if one of
+    them does not factor (``_require_spd`` then names it)."""
     try:
         return np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        pass
+        return np.full(g.shape, np.nan)
+
+
+def _require_spd(g, chol, thetas):
+    """NotSPDError naming the first point whose metric is non-finite or not
+    positive-definite, if there is one; ``chol`` holds the chunks' factors,
+    NaN for a chunk that did not factor."""
+    # a non-finite entry of g either fails its chunk's factorisation or
+    # reaches the factor (which reads the lower triangle, and the kernels
+    # mirror g exactly), so finite factors vouch for g too
+    if np.isfinite(chol).all():
+        return
+    finite = np.isfinite(g).all(axis=(1, 2))
+    if not finite.all():
+        raise NotSPDError(f"non-finite Fisher metric at theta={_name(thetas, finite)}")
+    factored = np.isfinite(chol).all(axis=(1, 2))
     spd = np.ones(len(g), dtype=bool)
-    for k, gk in enumerate(g):
+    for k in np.flatnonzero(~factored):
         try:
-            np.linalg.cholesky(gk)
+            np.linalg.cholesky(g[k])
         except np.linalg.LinAlgError:
             spd[k] = False
             break
@@ -77,7 +89,7 @@ def _require_spd(g, thetas):
 
 
 def _require_finite(c, thetas, what):
-    finite = np.isfinite(c).reshape(len(c), -1).all(axis=1)
+    finite = np.isfinite(c).all(axis=tuple(range(1, c.ndim)))
     if not finite.all():
         raise NotSPDError(f"non-finite {what} at theta={_name(thetas, finite)}")
 
@@ -89,30 +101,22 @@ def _inverse(chol):
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
-def _trace(w, s, g):
-    """C_ijk g^jk of one chunk, with g^-1 from the chunk's Cholesky factor; NaN
-    if a metric of the chunk does not factor (``_require_spd`` names it)."""
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return np.full(g.shape[:-1], np.nan)
-    return kernels.trace_contract_stack(w, s, _inverse(chol))
-
-
 def _contract(model, ch, thetas, theta_ref, quad, extra, width):
-    """Unchecked metric and, by ``extra``, the cubic tensor ("cubic"), its
-    trace ("trace") or nothing (None), of points that share one node count
-    (``width`` nodes for a discrete model)."""
+    """Unchecked metric, its Cholesky factor (``_factor``) and, by ``extra``,
+    the cubic tensor ("cubic"), its trace ("trace", NaN from NaN factors) or
+    nothing (None), of points that share one node count (``width`` nodes for
+    a discrete model)."""
     x, w = sample_nodes(model, theta_ref, quad, width)
     s = model.score_ref(x, theta_ref)
     if ch.name != model.reference:
         s = s @ ch.jacobian(thetas)
     g = kernels.pair_contract_stack(w, s)
+    chol = _factor(g)
     if extra == "cubic":
-        return g, kernels.triple_contract_stack(w, s)
+        return g, chol, kernels.triple_contract_stack(w, s)
     if extra == "trace":
-        return g, _trace(w, s, g)
-    return g, None
+        return g, chol, kernels.trace_contract_stack(w, s, _inverse(chol))
+    return g, chol, None
 
 
 def _groups(q, p):
@@ -140,20 +144,21 @@ def _evaluate(model, ch, thetas, quad, extra):
     p, m = thetas.shape
     groups = _groups(nodes_per_point(model, theta_ref, quad), p)
     if len(groups) == 1 and 0 < p <= _chunk_rows(groups[0][1], m):
-        g, c = _contract(model, ch, thetas, theta_ref, quad, extra, groups[0][1])
+        g, chol, c = _contract(model, ch, thetas, theta_ref, quad, extra,
+                               groups[0][1])
     else:
-        g = np.empty((p, m, m))
+        g, chol = np.empty((p, m, m)), np.empty((p, m, m))
         c = None if extra is None else np.empty(
             (p, m, m, m) if extra == "cubic" else (p, m))
         for idx, q in groups:
             rows = _chunk_rows(q, m)
             for a in range(0, len(idx), rows):
                 part = idx[a:a + rows]
-                g[part], c_part = _contract(model, ch, thetas[part], theta_ref[part],
-                                            quad, extra, q)
+                g[part], chol[part], c_part = _contract(
+                    model, ch, thetas[part], theta_ref[part], quad, extra, q)
                 if extra is not None:
                     c[part] = c_part
-    chol = _require_spd(g, thetas)
+    _require_spd(g, chol, thetas)
     if extra is not None:
         _require_finite(c, thetas, _EXTRA_NAME[extra])
     return g, chol, c

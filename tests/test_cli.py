@@ -233,6 +233,20 @@ class TestPrior:
         assert code == 2
         assert "alpha" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("kind", [("weyl",), ("alpha", "--alpha", "1")],
+                             ids=["weyl", "alpha"])
+    def test_one_point_grid(self, capsys, tmp_path, kind):
+        # a one-point grid has no edges: the sweep evaluates the 1-form on an
+        # empty stack
+        out_path = tmp_path / "one.csv"
+        code, _, err = run(capsys, "prior", "--model", "gaussian1d",
+                           "--kind", *kind, "--anchor", "0,1",
+                           "--grid", "mu=0:0:1,s2=1:1:1", "--out", str(out_path))
+        assert code == 0, err
+        names, pts, vals = read_csv(out_path)
+        assert pts.tolist() == [[0.0, 1.0]]
+        assert vals.tolist() == [1.0 / np.sqrt(2.0)]
+
     def test_bad_grid_syntax(self, capsys, tmp_path):
         code, _, err = run(capsys, "prior", "--model", "gaussian1d",
                            "--kind", "jeffreys", "--grid", "mu=-1:1",

@@ -244,13 +244,10 @@ class TestWeylTranslate:
 # ---------------------------------------------------------------------------
 # Reference route: the one-point, one-coordinate finite differences and the
 # per-function tensor evaluations that the stacked bundle replaced.  The
-# bundle must reproduce them bitwise.  The closedness residual differences
-# ``weyl_one_form``, which takes phi from the trace kernel rather than from C
-# as the reference does, so it is compared at a tolerance instead.
-
-# worst |closedness - reference| over REFERENCE_CASES and the identity-suite
-# points is 2.9e-11 (gaussian_mv:2); the residuals themselves reach 2e-11
-CLOSEDNESS_ROUTE_ATOL = 1e-10
+# bundle must reproduce them bitwise.  The closedness residual and the
+# potential difference and integrate ``weyl_one_form``, which takes phi from
+# the trace kernel, so their references take it from there too, one point at
+# a time; TestOneFormTwoRoutes compares that phi with the one from C.
 
 from weylprior import geometry
 from weylprior.errors import DomainError
@@ -343,8 +340,15 @@ def reference_weyl_connection(model, theta, chart=None, diff=None):
     return lc + corr
 
 
+def reference_trace_one_form(model, theta, chart=None):
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 1:
+        return weyl_one_form(model, theta, chart)
+    return np.array([weyl_one_form(model, t, chart) for t in theta])
+
+
 def reference_closedness_residual(model, theta, chart=None):
-    dphi = reference_gradient(lambda t: reference_weyl_one_form(model, t, chart),
+    dphi = reference_gradient(lambda t: reference_trace_one_form(model, t, chart),
                               theta, None, _contains(model, chart))
     return dphi - dphi.T
 
@@ -462,10 +466,6 @@ class TestSameNumbersAsReference:
                                      ricci_alphas):
             got, want = new(), ref()
             assert got.shape == want.shape, name
-            if name == "closedness":
-                np.testing.assert_allclose(got, want, rtol=0,
-                                           atol=CLOSEDNESS_ROUTE_ATOL)
-                continue
             assert np.array_equal(got, want), (name, np.max(np.abs(got - want)))
 
     def test_identity_suite_points(self, g1):
@@ -478,9 +478,8 @@ class TestSameNumbersAsReference:
                                       reference_duality_residual(g1, theta, a))
                 assert np.array_equal(nabla_g_identity_residual(g1, theta, a),
                                       reference_nabla_g_identity_residual(g1, theta, a))
-            np.testing.assert_allclose(closedness_residual(g1, theta),
-                                       reference_closedness_residual(g1, theta),
-                                       rtol=0, atol=CLOSEDNESS_ROUTE_ATOL)
+            assert np.array_equal(closedness_residual(g1, theta),
+                                  reference_closedness_residual(g1, theta))
             assert np.array_equal(weyl_compatibility_residual(g1, theta),
                                   reference_weyl_compatibility_residual(g1, theta))
             assert np.array_equal(trace_identity_residual(g1, theta),
@@ -721,11 +720,8 @@ class TestGaugeCheckCanFail:
 # ---------------------------------------------------------------------------
 # Reference route for potentials: one straight-or-staircase polyline per
 # point, tested for interiority by probes, integrated by composite 5-point
-# Gauss-Legendre of the 1-form taken from C.  The stacked straight-segment
-# potential integrates the trace-kernel 1-form, so it must reproduce the
-# reference to roundoff: the worst difference over POTENTIAL_CASES is
-# 1.5e-14 (gaussian1d, natural chart) on potentials up to 4.2.
-POTENTIAL_ROUTE_ATOL = 1e-13
+# Gauss-Legendre of the trace-kernel 1-form taken one point at a time.  The
+# stacked straight-segment potential must reproduce it bitwise.
 
 from weylprior.errors import ClosednessError
 from weylprior.priors import Axis, GridSpec, prior_values, weyl_prior_field
@@ -780,7 +776,7 @@ def reference_potential_omega(model, theta, anchor, chart=None, steps=24):
         mid = waypoints[min(1, len(waypoints) - 1)]
     if np.max(np.abs(reference_closedness_residual(model, mid, chart))) > 1e-6:
         raise ClosednessError("not closed")
-    return reference_line_integral(lambda t: reference_weyl_one_form(model, t, chart),
+    return reference_line_integral(lambda t: reference_trace_one_form(model, t, chart),
                                    waypoints, steps)
 
 
@@ -813,7 +809,7 @@ class TestStackedPotential:
         assert got.shape == (len(points),)
         want = np.array([reference_potential_omega(model, t, anchor, chart)
                          for t in points])
-        np.testing.assert_allclose(got, want, rtol=0, atol=POTENTIAL_ROUTE_ATOL)
+        assert np.array_equal(got, want), np.max(np.abs(got - want))
         one = potential_omega(model, points[1], anchor, chart)
         assert isinstance(one, float) and one == got[1]
 

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weylprior import (QuadratureSpec, amari_chentsov, fisher_metric, kernels,
-                       weyl_one_form)
+from weylprior import (QuadratureSpec, amari_chentsov, fisher_metric, get_model,
+                       kernels, weyl_one_form)
 from weylprior.errors import DomainError, NotSPDError
 from weylprior.numerics import sample_nodes
 from weylprior.tensors import (CHUNK_BYTES, _chunk_rows, cubic_trace, inverse_metric,
@@ -144,6 +144,21 @@ class TestChecks:
         with pytest.raises(NotSPDError, match=r"theta=\[0\.5, 2\.0\]"):
             weyl_one_form(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
 
+    @pytest.mark.parametrize("compute", [fisher_metric, metric_and_cubic, cubic_trace])
+    def test_each_metric_is_factored_once(self, g1, monkeypatch, compute):
+        # one chunk: one Cholesky call gives the SPD check, g^-1 for the
+        # trace and the kept factor
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        compute(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
+        assert calls == [(3, 2, 2)]
+
     def test_non_finite_cubic_raises(self, g1, monkeypatch):
         monkeypatch.setattr(kernels, "triple_contract_stack",
                             lambda w, s: np.full((len(w), 2, 2, 2), np.nan))
@@ -190,7 +205,6 @@ class TestStackIndependence:
     @pytest.mark.parametrize("model_id,chart", CASES,
                              ids=[f"{m}-{c}" for m, c in CASES])
     def test_matches_one_point_calls(self, model_id, chart):
-        from weylprior import get_model
         model = get_model(model_id)
         pts = stack_points(model_id, chart)
         met, cub = metric_and_cubic(model, pts, chart)
@@ -256,6 +270,18 @@ class TestSupportWidths:
         for k, lam in enumerate(rates):
             assert np.array_equal(met.g[k], fisher_metric(pois, lam).g)
             assert np.array_equal(cub[k], amari_chentsov(pois, lam))
+
+
+class TestEmptyStack:
+    @pytest.mark.parametrize("model_id", ["gaussian1d", "gaussian_mv:2", "poisson"])
+    def test_empty_stack_gives_empty_arrays(self, model_id):
+        model = get_model(model_id)
+        m = model.dim
+        empty = np.empty((0, m))
+        assert fisher_metric(model, empty).g.shape == (0, m, m)
+        assert amari_chentsov(model, empty).shape == (0, m, m, m)
+        assert cubic_trace(model, empty).shape == (0, m)
+        assert weyl_one_form(model, empty).shape == (0, m)
 
 
 class TestStackErrors:
