@@ -61,9 +61,10 @@ def load_observations(path, model: ModelSpec) -> Dataset:
     return Dataset(obs[:, 0] if d == 1 else obs, source=str(path))
 
 
-def grid_posterior(model: ModelSpec, prior: PriorField, data: Dataset,
-                   chart=None) -> PosteriorGrid:
-    """log p(theta | data) over the prior's grid, log-sum-exp normalized.
+def grid_posterior(model: ModelSpec, prior: PriorField,
+                   data: Dataset) -> PosteriorGrid:
+    """log p(theta | data) over the prior's grid, in the prior's chart,
+    log-sum-exp normalized.
 
     The likelihood is evaluated once per distinct observation and weighted by
     its multiplicity; ``math.fsum`` rounds the sum correctly, so the result
@@ -71,9 +72,7 @@ def grid_posterior(model: ModelSpec, prior: PriorField, data: Dataset,
     """
     if prior.grid is None:
         raise GridError("posterior computation needs a grid-backed prior")
-    if chart is None:
-        chart = prior.chart
-    ch = model.chart(chart)
+    ch = model.chart(prior.chart)
     model.sample_space.validate(data.observations, data.source)
     obs, counts = np.unique(data.observations, axis=0, return_counts=True)
     pts = prior.points

@@ -10,14 +10,15 @@ full arrays so callers can report max-norms against their tolerances.
 from the trace kernel (``tensors.cubic_trace``), so the bundle's phi and
 ``weyl_one_form`` reach the same value by two routes.
 
-The two most recent bundles are kept, keyed on their exact inputs, so the
-checks at one point (and the Ricci tensor's stencil around it) share one
-evaluation; a repeated request makes no tensor call and returns the same
-read-only arrays, so every result is bitwise that of a fresh evaluation.
+The two most recent bundles are kept (``functools.lru_cache``), keyed on the
+model object and the exact inputs, so the checks at one point (and the Ricci
+tensor's stencil around it) share one evaluation; a repeated request makes
+no tensor call and returns the same read-only arrays, so every result is
+bitwise that of a fresh evaluation.
 """
 
-import threading
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,8 +38,6 @@ POTENTIAL_STEPS = 24
 # bundles kept: a point and its GAMMA_DIFF Ricci stencil, which is what a
 # run of checks at one point asks for
 _MEMO_SIZE = 2
-_memo = []      # (model, key, bundle), most recent first
-_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -77,24 +76,21 @@ def _evaluate_bundle(model, theta, chart, quad, diff):
     return _Bundle(met.g, ginv, c, _phi(c, ginv), dg, _levi_civita(ginv, dg))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _kept_bundle(model, chart, quad, diff, shape, data):
+    b = _evaluate_bundle(model, np.frombuffer(data).reshape(shape), chart,
+                         quad, diff)
+    for arr in vars(b).values():
+        arr.flags.writeable = False
+    return b
+
+
 def _bundle(model, theta, chart, quad, diff):
     """The bundle at ``theta``, evaluated once for the same model object,
     chart, quadrature, step and exact coordinates among the last _MEMO_SIZE
     requests; its arrays are read-only."""
     theta = np.asarray(theta, dtype=float)
-    key = (chart, quad, diff, theta.shape, theta.tobytes())
-    with _memo_lock:
-        for k, (m, mkey, b) in enumerate(_memo):
-            if m is model and mkey == key:
-                _memo.insert(0, _memo.pop(k))
-                return b
-    b = _evaluate_bundle(model, theta, chart, quad, diff)
-    for arr in vars(b).values():
-        arr.flags.writeable = False
-    with _memo_lock:
-        _memo.insert(0, (model, key, b))
-        del _memo[_MEMO_SIZE:]
-    return b
+    return _kept_bundle(model, chart, quad, diff, theta.shape, theta.tobytes())
 
 
 def _gamma(b, kind, alpha=None):

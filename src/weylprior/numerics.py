@@ -21,6 +21,11 @@ DEFAULT_NODES_ND = 32
 # the largest count for which NumPy's hermgauss gives finite, positive weights
 # (from 371 nodes its weights overflow to NaN)
 MAX_NODES = 370
+# the fewest Gauss-Hermite nodes per dimension that are exact for a continuous
+# family: its score has degree at most 2 in x (every continuous family is
+# Gaussian in x), so the cubic tensor's integrand has degree 6, and k nodes
+# are exact up to degree 2k - 1
+MIN_CONTINUOUS_NODES = 4
 # the largest tensor grid, nodes per point, that the CLI accepts: 64^3, so a
 # cached node table ((d + 1) doubles per node) stays at 8 MiB for d = 3 and
 # one point's scores (m doubles per node) at 18 MiB for gaussian_mv:3 (m = 9);

@@ -10,7 +10,7 @@ def fresh_bundles():
     """Start every test with no kept geometry bundle, so a bundle evaluated by
     an earlier test never hides a patch of what the bundle reads (``_phi``,
     the kernels, ``tensors._tensors``)."""
-    geometry._memo.clear()
+    geometry._kept_bundle.cache_clear()
 
 
 @pytest.fixture(scope="session")

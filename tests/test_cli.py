@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylprior.cli import main
+from weylprior import get_model
+from weylprior.cli import _test_points, main
 from weylprior.priors import read_csv
 
 
@@ -57,11 +58,33 @@ class TestTensor:
         assert code == 2
         assert "error" in json.loads(err)
 
-    def test_too_few_quad_nodes_exit_2(self, capsys):
-        code, _, err = run(capsys, "tensor", "--model", "gaussian1d",
-                           "--theta", "0,1", "--quad-nodes", "1")
-        assert code == 2
-        assert "--quad-nodes 1" in json.loads(err)["error"]
+    def test_too_few_quad_nodes_exit_2(self, capsys, tmp_path):
+        # k Gauss-Hermite nodes are exact up to degree 2k - 1 and a continuous
+        # family's cubic integrand has degree 6: 2 or 3 nodes would give wrong
+        # tensors (3 give C[1][1][1] = 0.25 at theta = (0, 1), not 1)
+        out_path = tmp_path / "prior.csv"
+        commands = [("tensor", "--theta", "0,1"),
+                    ("check", "--what", "closedness", "--theta", "0,1"),
+                    ("prior", "--kind", "jeffreys", "--grid",
+                     "mu=-1:1:3,s2=0.5:2:3", "--out", str(out_path))]
+        for command in commands:
+            for nodes in ("1", "2", "3"):
+                code, out, err = run(capsys, command[0], "--model", "gaussian1d",
+                                     *command[1:], "--quad-nodes", nodes)
+                assert code == 2 and out == "", (command[0], nodes)
+                assert f"--quad-nodes {nodes}" in json.loads(err)["error"]
+        assert not out_path.exists()
+
+    def test_four_quad_nodes_give_the_closed_form(self, capsys):
+        # C_{mu mu s2} = 1/s2^2 and C_{s2 s2 s2} = 1/s2^3, every other entry 0
+        code, out, _ = run(capsys, "tensor", "--model", "gaussian1d",
+                           "--theta", "0.5,1.5", "--quad-nodes", "4")
+        assert code == 0
+        want = np.zeros((2, 2, 2))
+        want[0, 0, 1] = want[0, 1, 0] = want[1, 0, 0] = 1.0 / 1.5 ** 2
+        want[1, 1, 1] = 1.0 / 1.5 ** 3
+        np.testing.assert_allclose(json.loads(out)["C"], want, rtol=1e-13,
+                                   atol=1e-14)
 
     # from 371 nodes NumPy's Gauss-Hermite weights are NaN, and 100000 nodes
     # would ask for a 74.5 GiB array; both are refused before any node table
@@ -402,6 +425,20 @@ class TestVerifyAll:
         assert summary["checks"] == len(lines) - 1
         for line in lines[:-1]:
             assert json.loads(line)["pass"] is True
+
+    @pytest.mark.parametrize("model,chart", [
+        (m, c) for m in ("gaussian1d", "gaussian_mv:2", "bernoulli", "poisson")
+        for c in sorted(get_model(m).charts)])
+    def test_every_chart_passes(self, capsys, model, chart):
+        code, out, _ = run(capsys, "verify-all", "--model", model,
+                           "--chart", chart)
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0 and lines[-1]["failures"] == 0, lines[-1]
+        # the default points are read in the reference chart and checked
+        # at their coordinates in --chart
+        ch = get_model(model).chart(chart)
+        first = ch.from_reference(_test_points(get_model(model))[0])
+        assert lines[0]["theta"] == first.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -597,17 +597,17 @@ class TestBundleMemo:
             out = []
             for what, alpha in IDENTITY_SUITE + [("gauge", 1.0)]:
                 if fresh:
-                    geometry._memo.clear()
+                    geometry._kept_bundle.cache_clear()
                 out.append(cli.run_check(model, what, theta, alpha)[0])
             for kind, alpha in (("levi_civita", None), ("alpha", -2.0), ("weyl", None)):
                 if fresh:
-                    geometry._memo.clear()
+                    geometry._kept_bundle.cache_clear()
                 out.append(ricci_tensor(model, theta, kind, alpha))
             for conn in (lambda: levi_civita(model, theta),
                          lambda: alpha_connection(model, theta, 1.0),
                          lambda: weyl_connection(model, theta)):
                 if fresh:
-                    geometry._memo.clear()
+                    geometry._kept_bundle.cache_clear()
                 out.append(conn())
             return out
 
@@ -680,7 +680,7 @@ class TestBundleMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(geometry._memo) == geometry._MEMO_SIZE
+        assert geometry._kept_bundle.cache_info().currsize == geometry._MEMO_SIZE
 
 
 def scaled_weyl_phi_terms(monkeypatch, factor):

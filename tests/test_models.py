@@ -215,6 +215,24 @@ class TestInvariants:
             pts = np.arange(pois.sample_space.support_size(np.array([lam])))
             mass = np.exp(pois.log_density(pts, np.array([lam]))).sum()
             assert 1.0 - mass < 1e-12
+        # over a wide sweep the mass dropped beyond the support is summed
+        # directly: 1 - (kept mass) carries the pmf's rounding, about 1e-11
+        # at lam = 1e4, which would hide the tail
+        for lam in np.geomspace(1e-6, 1e4, 41):
+            n = int(pois.sample_space.support_size(np.array([lam])))
+            dropped = np.exp(pois.log_density(np.arange(n, 3 * n),
+                                              np.array([lam]))).sum()
+            assert dropped < 1e-12, lam
+
+    def test_poisson_support_width_closed_form(self, pois):
+        # N + 1 points with N = floor(lam + 10 sqrt(lam) + 20); Bennett's
+        # inequality bounds the mass beyond N by e^-30
+        lam = np.concatenate([np.geomspace(1e-9, 1e9, 2001),
+                              np.linspace(0.01, 100.0, 2001)])
+        want = [int(v + 10.0 * np.sqrt(v) + 20.0) + 1 for v in lam.tolist()]
+        size = pois.sample_space.support_size
+        assert size(lam[:, None]).tolist() == want
+        assert [int(size(np.array([v]))) for v in lam[::50]] == want[::50]
 
     def test_vech_round_trip(self):
         rng = np.random.default_rng(2)
