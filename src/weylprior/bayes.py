@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DataError, GridError
 from .models import ModelSpec
@@ -88,10 +87,23 @@ def grid_posterior(model: ModelSpec, prior: PriorField,
     if not np.any(np.isfinite(logpost)):
         raise DataError(_vanishing(model, refs, data))
     logvol = np.log(prior.grid.cell_volumes())
-    norm = logsumexp(logpost + logvol)
+    norm = _log_sum_exp(logpost + logvol)
     log_values = logpost - norm
     masses = np.exp(log_values + logvol)
     return PosteriorGrid(pts, log_values, masses, grid=prior.grid)
+
+
+def _log_sum_exp(a):
+    """log sum(exp(a)) of a 1-D array with a finite largest term a_max, as
+    log1p(s) + log(m) + a_max: m terms equal a_max, and s sums exp(a - a_max)
+    over the others, divided by m.  These are the steps, in their order, of
+    ``scipy.special.logsumexp``, so the two agree bit for bit."""
+    a_max = a.max()
+    top = a == a_max
+    terms = np.exp(a - a_max)
+    terms[top] = 0.0
+    m = float(np.count_nonzero(top))
+    return np.log1p(terms.sum() / m) + np.log(m) + a_max
 
 
 def _vanishing(model, refs, data):

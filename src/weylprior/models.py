@@ -14,11 +14,11 @@ Built-in families: gaussian1d (reference chart (mu, sigma^2)), gaussian_mv(n)
 bernoulli, poisson.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DataError, DomainError, InvalidConfigError, UnknownModelError
 
@@ -26,6 +26,8 @@ from .errors import DataError, DomainError, InvalidConfigError, UnknownModelErro
 DOMAIN_MARGIN = 1e-10
 
 LOG_2PI = np.log(2.0 * np.pi)
+# exp of a larger argument overflows
+LOG_MAX_FLOAT = np.log(np.finfo(float).max)
 
 
 class Chart:
@@ -89,7 +91,9 @@ class SampleSpace:
 
     kind: str                       # "continuous" | "discrete"
     dim: int
-    support_size: Optional[Callable] = None  # theta_ref (..., m) -> N (...), discrete only
+    # discrete only: theta_ref (..., m) -> N (...), unbounded and possibly
+    # floats; ``numerics.nodes_per_point`` bounds them and casts them to ints
+    support_size: Optional[Callable] = None
     max_value: Optional[float] = None    # discrete only
 
     def validate(self, x, source="observations"):
@@ -183,12 +187,14 @@ def score(model, x, theta, chart=None):
 
 
 def log_density(model, x, theta, chart=None):
-    """log p(x|theta) with theta given in the requested chart."""
+    """log p(x|theta) with theta given in the requested chart; DataError
+    naming the first row of ``x`` outside the sample space."""
     ch = model.require_interior(theta, chart)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0 and model.sample_space.dim == 1
     if scalar:
         x = x.reshape(1)
+    model.sample_space.validate(x, "x")
     out = np.asarray(model.log_density(x, ch.to_reference(theta)), dtype=float)
     if not np.all(np.isfinite(out)):
         raise DomainError(f"non-finite log-density for model {model.id!r} at "
@@ -388,13 +394,28 @@ def _poisson_support_size(t):
     # at least 30 for every lam > 0, so the dropped mass P(X > N) is below
     # e^-30 (about 9.4e-14), under 1e-12
     lam = t[..., 0]
-    return (lam + 10.0 * np.sqrt(lam) + 20.0).astype(int) + 1
+    return np.floor(lam + 10.0 * np.sqrt(lam) + 20.0) + 1.0
+
+
+# log k! = lgamma(k + 1) for k < 4096 (32 KiB): every support up to a rate of
+# about 3,480 and every count below 4096 is one lookup
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(4096)])
+
+
+def _log_factorial(x):
+    """log x! of integers x in 0..2^53 held as floats, any shape; by
+    math.lgamma one value at a time if a count is past the table."""
+    try:
+        return _LOG_FACTORIAL[x.astype(np.intp)]
+    except IndexError:
+        return np.vectorize(math.lgamma, otypes=[float])(x + 1.0)
 
 
 def _poisson():
     ref = Chart("lam", ["lam"], lambda t, margin: t[..., 0] > margin)
+    # a natural parameter whose rate e^eta overflows names no member
     natural = Chart(
-        "natural", ["eta"], lambda t, margin: np.isfinite(t[..., 0]),
+        "natural", ["eta"], lambda t, margin: t[..., 0] < LOG_MAX_FLOAT,
         to_reference=lambda e: np.exp(e[..., 0:1]),
         from_reference=lambda t: np.log(t[..., 0:1]),
         jacobian=lambda e: np.exp(e[..., 0])[..., None, None],
@@ -402,7 +423,7 @@ def _poisson():
 
     def logp(x, t):
         lam = t[..., 0:1]
-        return x * np.log(lam) - lam - gammaln(x + 1.0)
+        return x * np.log(lam) - lam - _log_factorial(x)
 
     def sc(x, t):
         lam = t[..., 0:1]
@@ -410,8 +431,11 @@ def _poisson():
 
     return ModelSpec(
         id="poisson", dim=1,
+        # a double holds every integer only up to 2^53, so a larger count is
+        # not known exactly; the bound also keeps counts within an int cast
         sample_space=SampleSpace(
-            "discrete", 1, support_size=_poisson_support_size),
+            "discrete", 1, support_size=_poisson_support_size,
+            max_value=2.0 ** 53),
         charts={c.name: c for c in (ref, natural)}, reference="lam",
         log_density=logp, analytic_score=sc,
     )

@@ -83,7 +83,15 @@ def nodes_per_point(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
     discrete one."""
     space = model.sample_space
     if space.kind == "discrete":
-        return space.support_size(np.asarray(theta_ref, dtype=float))
+        widths = space.support_size(np.asarray(theta_ref, dtype=float))
+        # bounded as floats: the width of a huge rate does not fit an int
+        if not widths.max(initial=0.0) <= MAX_GRID_NODES:
+            k = np.argmin(widths <= MAX_GRID_NODES)
+            raise DomainError(
+                f"theta={theta_ref[k].tolist()} (chart {model.reference!r}) of "
+                f"model {model.id!r} needs a support of {widths[k]:.6g} points; "
+                f"at most {MAX_GRID_NODES} are summed per point")
+        return widths.astype(int)
     if quad is None:
         quad = default_quadrature(model)
     return quad.nodes ** space.dim
@@ -118,7 +126,7 @@ def _stacked_nodes(model, theta_ref, quad, width):
     space = model.sample_space
     if space.kind == "discrete":
         if width is None:
-            widths = np.unique(space.support_size(theta_ref)).tolist()
+            widths = np.unique(nodes_per_point(model, theta_ref)).tolist()
             if len(widths) > 1:
                 raise ValueError(f"a discrete stack needs one support width, got "
                                  f"widths {widths}; sample each width on its own")

@@ -15,7 +15,7 @@ from weylprior import (
     jeffreys_field,
     weyl_prior_field,
 )
-from weylprior.bayes import load_observations
+from weylprior.bayes import _log_sum_exp, load_observations
 from weylprior.errors import DataError, GridError
 from weylprior.priors import PriorField
 
@@ -225,6 +225,36 @@ class TestDistinctObservations:
         assert len(rows) == 21
         assert max(rows) <= distinct
         assert np.all(np.isfinite(post.log_values))
+
+    def test_counts_past_the_log_factorial_table(self, pois):
+        # two counts beyond the 4096-entry table of log k! take math.lgamma
+        prior = jeffreys_field(pois, GridSpec((Axis("lam", 2.5, 3.5, 101),)))
+        data = Dataset(np.concatenate([poisson_draws(2000), [4096.0, 5000.0]]))
+        post = grid_posterior(pois, prior, data)
+        np.testing.assert_allclose(post.log_values,
+                                   reference_log_values(pois, prior, data),
+                                   rtol=0, atol=1e-9)
+
+
+class TestLogSumExp:
+    """The posterior's normalizer is bitwise scipy.special.logsumexp."""
+
+    def test_bitwise_equal_to_scipy(self):
+        rng = np.random.default_rng(19)
+        ties = 0
+        for k in range(3000):
+            a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), rng.integers(1, 500))
+            if k % 3 == 0:
+                a = np.round(a)                 # ties at the maximum
+            if k % 4 == 0:
+                a[rng.random(len(a)) < 0.3] = -np.inf
+                a[0] = 0.0                      # keep the maximum finite
+            if k % 5 == 0:
+                a[rng.integers(0, len(a), 3)] = a.max()
+            ties += np.count_nonzero(a == a.max()) > 1
+            got = _log_sum_exp(a)
+            assert np.float64(got).tobytes() == np.float64(logsumexp(a)).tobytes(), k
+        assert ties > 500
 
 
 class TestCompare:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -503,3 +504,27 @@ class TestBadInputContract:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert "error" in json.loads(lines[0])
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--model", "poisson", "--what", "closedness", "--theta", "1e18"],
+        ["tensor", "--model", "poisson", "--theta", "1e20"],
+        ["tensor", "--model", "poisson", "--chart", "natural", "--theta", "800"],
+    ], ids=["check-1e18", "tensor-1e20", "tensor-natural-800"])
+    def test_poisson_support_beyond_the_node_bound(self, argv):
+        # a stray RuntimeWarning (an int cast or an exp overflow) fails here
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == 2, argv
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0])
+
+    def test_widest_poisson_support_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "tensor", "--model", "poisson",
+                           "--theta", "2.5e5")
+        assert code == 0
+        assert json.loads(out)["g"][0][0] == pytest.approx(1 / 2.5e5, rel=1e-9)

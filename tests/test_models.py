@@ -1,11 +1,16 @@
 """Model registry: charts, densities, scores, normalization."""
 
+import math
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from weylprior import get_model, log_density, score
-from weylprior.errors import DomainError, InvalidConfigError, UnknownModelError
-from weylprior.models import vech_from_mat, vech_indices
+from weylprior.errors import (DataError, DomainError, InvalidConfigError,
+                              UnknownModelError)
+from weylprior.models import _log_factorial, vech_from_mat, vech_indices
 from weylprior.numerics import sample_nodes
 
 from conftest import expect, vech_theta
@@ -81,6 +86,40 @@ class TestLogDensity:
         with pytest.raises(DomainError):
             log_density(mv2, np.array([[0.0, 0.0]]),
                         vech_theta([0, 0], [[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("model_id, x, theta", [
+        ("poisson", 2.5, [3.0]), ("poisson", -0.5, [3.0]),
+        ("poisson", -1.0, [3.0]), ("poisson", 2.0 ** 53 + 2.0, [3.0]),
+        ("poisson", 1e19, [3.0]), ("bernoulli", 0.5, [0.3])])
+    def test_x_outside_the_sample_space(self, model_id, x, theta):
+        model = get_model(model_id)
+        with pytest.raises(DataError, match="row 1: observation"):
+            log_density(model, x, theta)
+        with pytest.raises(DataError, match="row 2: observation"):
+            log_density(model, np.array([0.0, x]), theta)
+
+
+class TestLogFactorial:
+    def test_within_3_ulp_of_exact(self):
+        k = np.arange(3001, dtype=float)
+        got = _log_factorial(k).tolist()
+        assert got[:2] == [0.0, 0.0]
+        # steps of one ulp from the correctly rounded value of log k!
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = Decimal(0)
+            for j in range(2, 3001):
+                exact += Decimal(j).ln()
+                near = float(exact)
+                assert abs(got[j] - near) <= 3 * math.ulp(near), j
+
+    def test_counts_past_the_table(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for big in (4096.0, 1e6, 1e9, 2.0 ** 53):
+                x = np.array([[3.0, big], [big, 0.0]])
+                want = [[math.lgamma(v + 1.0) for v in row] for row in x.tolist()]
+                assert _log_factorial(x).tolist() == want
 
 
 class TestScore:

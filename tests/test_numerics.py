@@ -1,5 +1,7 @@
 """Quadrature, finite differences, and path integration."""
 
+import re
+import warnings
 from itertools import product
 
 import numpy as np
@@ -10,7 +12,9 @@ from scipy import linalg, stats
 
 from weylprior import DiffSpec, QuadratureSpec, get_model, segment_integrals
 from weylprior.errors import DomainError
-from weylprior.numerics import gauss_hermite_nodes, gradient, sample_nodes
+from weylprior.numerics import (MAX_GRID_NODES, gauss_hermite_nodes, gradient,
+                                nodes_per_point, sample_nodes)
+from weylprior.tensors import fisher_metric, metric_and_cubic
 
 from conftest import expect, vech_theta
 
@@ -126,6 +130,31 @@ class TestOwnLaw:
         got = model.log_density(x[None], theta[None])[0]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert np.array_equal(w, gauss_hermite_nodes(8, d)[1])
+
+
+class TestSupportBound:
+    """A discrete support wider than MAX_GRID_NODES points is refused, with
+    its point and width named, before any int cast or allocation."""
+
+    @pytest.mark.parametrize("lam", [2.58e5, 1e18, 1e20, 1e300])
+    def test_too_wide_is_a_domain_error(self, pois, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: fisher_metric(pois, [lam]),
+                         lambda: sample_nodes(pois, np.array([lam])),
+                         lambda: nodes_per_point(pois, np.array([[1.0], [lam]]))):
+                with pytest.raises(DomainError, match=re.escape(f"theta=[{lam!r}]")
+                                   + f".*at most {MAX_GRID_NODES}"):
+                    call()
+
+    def test_widest_accepted_rate(self, pois):
+        widths = nodes_per_point(pois, np.array([[1.0], [2.57e5]]))
+        assert widths.dtype.kind == "i"
+        assert widths.tolist() == [int(v + 10.0 * np.sqrt(v) + 20.0) + 1
+                                   for v in (1.0, 2.57e5)]
+        assert widths[1] <= MAX_GRID_NODES
+        met, c = metric_and_cubic(pois, [2.57e5])
+        assert met.g[0, 0] == pytest.approx(1.0 / 2.57e5, rel=1e-9)
 
 
 class TestFiniteDifferences:
