@@ -32,9 +32,6 @@ GAMMA_DIFF = DiffSpec(rel_step=1e-3)
 
 CLOSEDNESS_TOL = 1e-6
 
-# Gauss-Legendre subintervals on the segment from the anchor to each point
-POTENTIAL_STEPS = 24
-
 # bundles kept: a point and its GAMMA_DIFF Ricci stencil, which is what a
 # run of checks at one point asks for
 _MEMO_SIZE = 2
@@ -151,9 +148,12 @@ def potential_omega(model, theta, anchor, chart=None, quad=None):
     Chart domains are convex (see ``Chart``), so each segment between
     interior endpoints stays interior.  Closedness, which makes Omega
     path-independent, is probed once, halfway from the anchor to the middle
-    point.  All segments are integrated by composite Gauss-Legendre in one
-    ``segment_integrals`` call, so the 1-form is evaluated at every node in
-    one stacked call.  Omega is a float for one point and (P,) for a stack.
+    point.  All segments are integrated in one ``segment_integrals`` call:
+    adaptive Gauss-Kronrod to ``numerics.QUAD_TOL`` of each segment's scale,
+    with one stacked 1-form call per bisection level; a segment that does
+    not converge within ``numerics.MAX_LEVELS`` levels raises DomainError
+    naming its end point.  Omega is a float for one point and (P,) for a
+    stack.
     """
     anchor = np.asarray(anchor, dtype=float)
     try:
@@ -170,9 +170,8 @@ def potential_omega(model, theta, anchor, chart=None, quad=None):
             f"Weyl 1-form is not closed (residual {res:.3e} at "
             f"{probe.tolist()}); the potential and the alpha-parallel and "
             "Weyl priors are undefined for this family")
-    omega = segment_integrals(lambda t: weyl_one_form(model, t, chart, quad),
-                              np.broadcast_to(anchor, stack.shape), stack,
-                              POTENTIAL_STEPS)
+    omega, _ = segment_integrals(lambda t: weyl_one_form(model, t, chart, quad),
+                                 np.broadcast_to(anchor, stack.shape), stack)
     return omega if theta.ndim == 2 else float(omega[0])
 
 

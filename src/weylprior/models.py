@@ -26,8 +26,6 @@ from .errors import DataError, DomainError, InvalidConfigError, UnknownModelErro
 DOMAIN_MARGIN = 1e-10
 
 LOG_2PI = np.log(2.0 * np.pi)
-# exp of a larger argument overflows
-LOG_MAX_FLOAT = np.log(np.finfo(float).max)
 
 
 class Chart:
@@ -59,6 +57,21 @@ class Chart:
             return np.zeros(len(thetas), dtype=bool)
         # the interior tests give False, and raise nothing, on non-finite rows
         return np.isfinite(thetas).all(axis=1) & self._contains(thetas, margin)
+
+    def restrict_to(self, ref):
+        """Admit a point only if its image under ``to_reference`` is interior
+        to the reference chart ``ref`` too, at margin 0 (so every point whose
+        image the map resolves stays in).  A map that underflows or overflows
+        (a Bernoulli eta of 800 gives p = 1) then names no member of the
+        family, however the chart's own domain reads."""
+        own = self._contains
+
+        def contains(thetas, margin):
+            with np.errstate(all="ignore"):
+                image = self.to_reference(thetas)
+            return own(thetas, margin) & ref.interior(image, 0.0)
+
+        self._contains = contains
 
     def to_reference(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -132,6 +145,14 @@ class ModelSpec:
     # (mean (d,), chol (d, d)) of the family's own law; quadrature reads the
     # law from these alone, never from log_density
     standardize: Optional[Callable] = None
+
+    def __post_init__(self):
+        # the reference chart's own test is left as it is, so its calls run
+        # nothing more
+        ref = self.charts[self.reference]
+        for ch in self.charts.values():
+            if ch is not ref:
+                ch.restrict_to(ref)
 
     def chart(self, name=None):
         if name is None:
@@ -413,9 +434,10 @@ def _log_factorial(x):
 
 def _poisson():
     ref = Chart("lam", ["lam"], lambda t, margin: t[..., 0] > margin)
-    # a natural parameter whose rate e^eta overflows names no member
+    # every finite eta whose rate e^eta is a positive finite double: one
+    # that overflows or underflows fails the reference chart's test
     natural = Chart(
-        "natural", ["eta"], lambda t, margin: t[..., 0] < LOG_MAX_FLOAT,
+        "natural", ["eta"], lambda t, margin: np.isfinite(t[..., 0]),
         to_reference=lambda e: np.exp(e[..., 0:1]),
         from_reference=lambda t: np.log(t[..., 0:1]),
         jacobian=lambda e: np.exp(e[..., 0])[..., None, None],

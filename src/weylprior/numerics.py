@@ -223,26 +223,122 @@ def gradient(f, theta, diff: DiffSpec = None, domain=None):
 # ---------------------------------------------------------------------------
 # path integrals of 1-form fields
 
-# 5-point Gauss-Legendre nodes and weights on [0, 1], for one subinterval
-_GL = np.polynomial.legendre.leggauss(5)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL[0] + 1.0), 0.5 * _GL[1]
+# QUADPACK's qk15 (Piessens et al., 1983) on [-1, 1]: the positive nodes of
+# the 15-point Kronrod rule down to the centre, their weights, and the
+# weights of the 7-point Gauss rule at the 2nd, 4th, 6th and 8th of them
+_XK = np.array([0.991455371120812639206854697526329,
+                0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926,
+                0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013,
+                0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245,
+                0.0])
+_WK = np.array([0.022935322010529224963732008058970,
+                0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518,
+                0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550,
+                0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649,
+                0.209482141084727828012999174891714])
+_WG = np.array([0.129484966168869693270611432679082,
+                0.279705391489276667901467771423780,
+                0.381830050505118944950369775488975,
+                0.417959183673469387755102040816327])
 
 
-def segment_integrals(omega, starts, ends, steps):
+def _symmetric(half):
+    """Values at the 15 nodes in increasing order from those at _XK."""
+    return np.concatenate([half, half[-2::-1]])
+
+
+# the rules on [0, 1]: nodes in path order, and the weights of the Kronrod
+# value K and of its difference K - G from the embedded Gauss value, the
+# interval's error estimate
+KRONROD_NODES = 0.5 * (1.0 + np.concatenate([-_XK, _XK[-2::-1]]))
+KRONROD_WEIGHTS = 0.5 * _symmetric(_WK)
+GAUSS_WEIGHTS = 0.5 * _symmetric(np.column_stack([np.zeros(4), _WG]).ravel())
+_EXCESS = KRONROD_WEIGHTS - GAUSS_WEIGHTS
+
+# an interval is accepted once its estimate |K - G| is at most QUAD_TOL times
+# its segment's scale, the larger of 1 and the sum of |K| over the segment's
+# intervals.  |K - G| bounds the Gauss value's error, and K's is far smaller,
+# so Omega's error stays near QUAD_TOL times the larger of 1 and |Omega|,
+# below the 1e-12 to which a prior exp(k Omega) is meant to hold.  The
+# 1-form's own roundoff (up to about 2e-15 relative on gaussian_mv:2) stays
+# below QUAD_TOL, so the refinement never chases noise; the floor 1 serves a
+# segment whose integral vanishes (phi orthogonal to it).
+QUAD_TOL = 1e-13
+# bisections after which an interval's two closest nodes are one machine
+# epsilon of the segment apart: finer intervals repeat nodes, so the
+# refinement can gain nothing more
+MAX_LEVELS = int(np.log2(np.diff(KRONROD_NODES).min() / np.finfo(float).eps))
+
+
+def _kronrod_points(starts, ends, span, seg, left, width):
+    """The Kronrod nodes (A, 15, m) of the intervals [left, left + width] of
+    the segments ``seg``, each taken from the nearer end point, so that a
+    node close to an end point (where phi may vary fastest) keeps its
+    relative accuracy: past the middle its fraction is
+    (left - 1) + width * node, exact but for the last rounding, relative to
+    the end point."""
+    offset = width * KRONROD_NODES
+    from_end = offset + left[:, None] > 0.5
+    frac = offset + (left[:, None] - from_end)
+    pts = np.where(from_end[..., None], ends[seg, None, :], starts[seg, None, :])
+    pts += frac[..., None] * span[seg, None, :]
+    return pts
+
+
+def segment_integrals(omega, starts, ends):
     """Integrals (S,) of the 1-form ``omega`` over each straight segment
-    ``starts[s] -> ends[s]`` (both (S, m)), by composite 5-point
-    Gauss-Legendre on ``steps`` equal subintervals per segment.
+    ``starts[s] -> ends[s]`` (both (S, m)), and the largest error estimate
+    among the intervals they are summed from.
 
-    ``omega`` maps a stack of points (K, m) to covectors (K, m); it is called
-    once, on the nodes of all segments.  Each segment's terms are added one
-    by one in path order.
+    Adaptive Gauss-Kronrod (G7/K15) with local bisection (Gander and
+    Gautschi, BIT 40, 2000): every segment starts as one interval; each
+    level evaluates ``omega`` (a stack of points (K, m) to covectors (K, m))
+    once, on the 15 Kronrod nodes of every open interval, and accepts the
+    intervals whose estimate |K - G| is within ``QUAD_TOL`` of their
+    segment's scale (see there); the others are halved for the next level.
+    DomainError names the end point of a segment still open after
+    ``MAX_LEVELS`` bisections.  Each segment's accepted values are added in
+    path order.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
     starts = np.asarray(starts, dtype=float)
-    span = np.asarray(ends, dtype=float) - starts
-    frac = ((np.arange(steps)[:, None] + _GL_NODES) / steps).reshape(-1)
-    nodes = starts[:, None, :] + frac[:, None] * span[:, None, :]
-    phi = np.asarray(omega(nodes.reshape(-1, starts.shape[1]))).reshape(nodes.shape)
-    terms = np.tile(_GL_WEIGHTS, steps) * np.einsum("sni,si->sn", phi, span / steps)
-    return np.cumsum(terms, axis=1)[:, -1]
+    ends = np.asarray(ends, dtype=float)
+    span = ends - starts
+    count, m = starts.shape
+    seg = np.arange(count)              # segment of each open interval
+    left = np.zeros(count)              # its start, as a fraction of the segment
+    done_abs = np.zeros(count)          # sum of |K| over accepted intervals
+    found = []                          # (segment, start, K) of accepted intervals
+    worst = 0.0
+    for level in range(MAX_LEVELS + 1):
+        width = 0.5 ** level
+        pts = _kronrod_points(starts, ends, span, seg, left, width)
+        phi = np.asarray(omega(pts.reshape(-1, m))).reshape(pts.shape)
+        # elementwise sums, not BLAS: a segment's values must not depend on
+        # the other segments of the stack
+        f = width * np.einsum("ani,ai->an", phi, span[seg])
+        k = (f * KRONROD_WEIGHTS).sum(axis=1)
+        err = np.abs((f * _EXCESS).sum(axis=1))
+        scale = done_abs + np.bincount(seg, np.abs(k), count)
+        ok = err <= QUAD_TOL * np.maximum(1.0, scale[seg])
+        found.append((seg[ok], left[ok], k[ok]))
+        worst = max(worst, err[ok].max(initial=0.0))
+        done_abs += np.bincount(seg[ok], np.abs(k[ok]), count)
+        seg, left = seg[~ok], left[~ok]
+        if not len(seg):
+            break
+        seg = np.repeat(seg, 2)
+        left = np.repeat(left, 2) + np.tile([0.0, 0.5 * width], len(left))
+    else:
+        raise DomainError(
+            f"the line integral to theta={ends[seg[0]].tolist()} "
+            f"does not converge within {MAX_LEVELS} bisections")
+    seg, left, k = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((left, seg))
+    # bincount adds in array order, so each segment's values in path order
+    return np.bincount(seg[order], k[order], count), worst

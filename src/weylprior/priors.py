@@ -18,10 +18,6 @@ from .models import ModelSpec
 from .numerics import segment_integrals
 from .tensors import fisher_metric, sqrt_det_metric
 
-# Gauss-Legendre steps on each grid edge of the Omega sweep; 2 steps lose
-# about three digits on gaussian_mv:2, 4 keep Omega at roundoff
-EDGE_STEPS = 4
-
 
 @dataclass(frozen=True)
 class Axis:
@@ -145,11 +141,14 @@ def _grid_omega(model, grid: GridSpec, anchor, quad):
     One potential_omega path runs from the anchor to the first grid point
     and probes closedness.  Every other point adds, to the value of its
     predecessor along its last axis with a non-zero index, the integral of
-    the Weyl 1-form over the single axis edge between them.  The 1-form is
-    evaluated at the Gauss-Legendre nodes of all edges in one stacked call;
-    the edge values then accumulate by running sums along the grid axes.
-    Chart domains are convex (see ``Chart``), so an edge between two
-    interior grid points stays interior.
+    the Weyl 1-form over the single axis edge between them.  All edges are
+    integrated by one ``segment_integrals`` call: adaptive Gauss-Kronrod to
+    ``numerics.QUAD_TOL`` of each edge's scale, one stacked 1-form call per
+    bisection level, and DomainError naming an edge's end point if it does
+    not converge within ``numerics.MAX_LEVELS`` levels.  The edge values
+    then accumulate by running sums along the grid axes.  Chart domains are
+    convex (see ``Chart``), so an edge between two interior grid points
+    stays interior.
     """
     pts = _chart_points(model, grid.points(), grid.chart)
     shape = grid.shape
@@ -159,9 +158,9 @@ def _grid_omega(model, grid: GridSpec, anchor, quad):
     strides = np.cumprod((1,) + shape[:0:-1])[::-1]
     omega = np.empty(len(pts))
     omega[0] = potential_omega(model, pts[0], anchor, grid.chart, quad)
-    omega[1:] = segment_integrals(
+    omega[1:], _ = segment_integrals(
         lambda t: geometry.weyl_one_form(model, t, grid.chart, quad),
-        pts[n - strides[last]], pts[n], EDGE_STEPS)
+        pts[n - strides[last]], pts[n])
     # point n's value is its predecessor's plus its edge: running sums along
     # axis k over the points whose later indices are all zero
     omega = omega.reshape(shape)
@@ -185,7 +184,10 @@ def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
         omega = potential_omega(model, points, anchor, chart, quad)
     # one-row calls: one stacked call makes perfbench's jeffreys-posterior-poisson
     # round shorter than its host-speed sampling interval, which fails the
-    # run (ROADMAP item 0)
+    # run (ROADMAP item 0).  For the same reason the Poisson posterior must
+    # not be shortened either until item 0 lands: a sufficient-statistics
+    # posterior cut its GIL-held stretch from about 25 ms to 3 ms, and both
+    # of its Poisson runs failed
     jeffreys = np.array([sqrt_det_metric(fisher_metric(model, t, chart, quad))
                          for t in points])
     if exponent is None:

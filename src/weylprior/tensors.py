@@ -32,8 +32,13 @@ from .errors import NotSPDError
 from .numerics import default_quadrature, nodes_per_point, sample_nodes
 
 # bound on one chunk's largest temporary, the score products s s^T that the
-# cubic contraction multiplies by: q * m * m doubles per point (the trace
-# contraction's largest temporary is q * m, and it uses the same chunks)
+# cubic contraction multiplies by: q * m * m doubles per point.  The trace
+# contraction's largest temporary is only q * m, but it keeps these chunks:
+# chunks sized for it (12 rows of gaussian_mv:2 at 1024 nodes instead of 2)
+# gave bitwise-equal values and made weyl-field-mv2 rounds slower on a
+# 2-vCPU host, in each of 4 interleaved runs (0.077-0.092 s against
+# 0.088-0.112 s) and in-process (a Weyl and a Jeffreys field, median 60 ms
+# against 77-80 ms)
 CHUNK_BYTES = 1 << 19
 
 

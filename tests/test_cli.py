@@ -523,6 +523,21 @@ class TestBadInputContract:
         assert len(lines) == 1
         assert "error" in json.loads(lines[0])
 
+    @pytest.mark.parametrize("model_id,eta", [
+        ("bernoulli", "800"), ("bernoulli", "-800"), ("poisson", "-800")])
+    def test_natural_parameter_without_a_member(self, model_id, eta):
+        # e^eta overflows or underflows, so the reference image (p = 1 or 0,
+        # rate 0) is no member of the family
+        argv = ["tensor", "--model", model_id, "--chart", "natural", f"--theta={eta}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == 2
+        assert out.getvalue() == ""
+        assert "is not interior" in json.loads(err.getvalue())["error"]
+
     def test_widest_poisson_support_is_accepted(self, capsys):
         code, out, _ = run(capsys, "tensor", "--model", "poisson",
                            "--theta", "2.5e5")

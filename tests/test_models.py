@@ -298,6 +298,22 @@ def _interior_draws(chart, rng, count):
     return out[:count]
 
 
+class TestChartImages:
+    """A point of another chart is interior only if its reference image is."""
+
+    @pytest.mark.parametrize("model_id,eta,inside", [
+        ("bernoulli", 800.0, False), ("bernoulli", -800.0, False),
+        ("poisson", -800.0, False), ("poisson", 710.0, False),
+        ("bernoulli", 36.0, True), ("bernoulli", -30.0, True),
+        ("poisson", -30.0, True), ("poisson", 709.0, True),
+    ])
+    def test_natural_chart(self, model_id, eta, inside):
+        chart = get_model(model_id).chart("natural")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chart.interior([[eta]]).tolist() == [inside]
+
+
 class TestChartConvexity:
     # potentials and grid sweeps integrate along straight segments without
     # testing that they stay interior, which holds only on convex domains

@@ -12,8 +12,10 @@ from scipy import linalg, stats
 
 from weylprior import DiffSpec, QuadratureSpec, get_model, segment_integrals
 from weylprior.errors import DomainError
-from weylprior.numerics import (MAX_GRID_NODES, gauss_hermite_nodes, gradient,
-                                nodes_per_point, sample_nodes)
+from weylprior.numerics import (GAUSS_WEIGHTS, KRONROD_NODES, KRONROD_WEIGHTS,
+                                MAX_GRID_NODES, MAX_LEVELS, QUAD_TOL,
+                                gauss_hermite_nodes, gradient, nodes_per_point,
+                                sample_nodes)
 from weylprior.tensors import fisher_metric, metric_and_cubic
 
 from conftest import expect, vech_theta
@@ -235,33 +237,89 @@ class TestFiniteDifferences:
             DiffSpec(**{field: value})
 
 
+class TestKronrodRule:
+    """QUADPACK's qk15 constants, mapped to [0, 1]."""
+
+    def test_gauss_rule_is_embedded(self):
+        x, w = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(KRONROD_NODES[1::2], 0.5 * (x + 1.0),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(GAUSS_WEIGHTS[1::2], 0.5 * w, rtol=0, atol=1e-15)
+        assert not GAUSS_WEIGHTS[0::2].any()
+
+    def test_kronrod_degree(self):
+        # exact for every monomial in the centred variable u = 2 x - 1 up to
+        # degree 3 * 7 + 1 = 22 (and 23, by symmetry); degree 24 is the first
+        # it misses
+        u = 2.0 * KRONROD_NODES - 1.0
+        exact = lambda d: 1.0 / (d + 1) if d % 2 == 0 else 0.0
+        for d in range(24):
+            assert KRONROD_WEIGHTS @ u ** d == pytest.approx(exact(d), rel=0,
+                                                             abs=1e-15), d
+        assert abs(KRONROD_WEIGHTS @ u ** 24 - exact(24)) > 1e-12
+
+    def test_nodes_in_path_order(self):
+        assert np.all(np.diff(KRONROD_NODES) > 0)
+        assert 0 < KRONROD_NODES[0] and KRONROD_NODES[-1] < 1
+
+
 class TestPathIntegrals:
     def test_path_validation(self):
-        with pytest.raises(ValueError, match="steps"):
-            segment_integrals(np.exp, [[0.0]], [[1.0]], 0)
+        # phi = 1/x is not integrable up to 0: the interval at 0 never
+        # converges, and the error names that segment's end point alone
+        with pytest.raises(DomainError, match=r"theta=\[0\.0\] does not converge "
+                                              rf"within {MAX_LEVELS} bisections"):
+            segment_integrals(lambda t: 1.0 / t, [[1.0], [1.0]], [[2.0], [0.0]])
 
     def test_exact_form(self):
         # omega = d(x y): integral depends only on endpoints, here summed over
         # the two segments of a polyline
         omega = lambda t: t[:, ::-1]
         pts = np.array([[0.0, 0.0], [2.0, 0.5], [1.0, 3.0]])
-        val = segment_integrals(omega, pts[:-1], pts[1:], 256).sum()
+        val = segment_integrals(omega, pts[:-1], pts[1:])[0].sum()
         assert val == pytest.approx(3.0, abs=1e-12)
 
     def test_gauss_near_machine(self):
-        val = segment_integrals(np.exp, [[0.0]], [[1.0]], 4)[0]
-        assert val == pytest.approx(np.e - 1.0, abs=1e-13)
+        val, worst = segment_integrals(np.exp, [[0.0]], [[1.0]])
+        assert val[0] == pytest.approx(np.e - 1.0, abs=1e-13)
+        # one interval, whose Gauss value is already within the tolerance
+        assert 0 < worst <= QUAD_TOL
 
-    # 5 Gauss-Legendre nodes per subinterval
-    @pytest.mark.parametrize("per_step", [5], ids=["gauss-5"])
-    def test_one_call_on_all_nodes(self, per_step):
-        # the 1-form is evaluated once, on the nodes of every segment
-        shapes = []
+    @pytest.mark.parametrize("lo", [1e-3, 1e-6, 1e-10])
+    def test_refines_toward_a_steep_end(self, lo):
+        # phi = 1/x on [lo, 1] and back: log(1/lo), held relative to the
+        # segment's scale, from either end
+        val, worst = segment_integrals(lambda t: 1.0 / t, [[1.0], [lo]], [[lo], [1.0]])
+        np.testing.assert_allclose(val, [np.log(lo), -np.log(lo)], rtol=1e-14, atol=0)
+        assert worst <= QUAD_TOL * -np.log(lo)
 
-        def omega(t):
-            shapes.append(t.shape)
-            return t[:, ::-1]
+    def test_one_call_per_level(self):
+        # each level evaluates the 1-form once, on the 15 Kronrod nodes of
+        # every open interval: first one interval per segment, then the two
+        # halves of each interval that missed the tolerance
+        rows = []
 
-        pts = np.array([[0.0, 0.0], [2.0, 0.5], [1.0, 3.0]])
-        segment_integrals(omega, pts[:-1], pts[1:], 7)
-        assert shapes == [(2 * 7 * per_step, 2)]
+        def counted(form):
+            def omega(t):
+                rows.append(t.shape)
+                return form(t)
+            return omega
+
+        segment_integrals(counted(lambda t: 1.0 / t), [[1.0], [1.0], [1.0]],
+                          [[2.0], [1e-3], [3.0]])
+        assert rows[0] == (3 * 15, 1)
+        assert len(rows) > 2 and all(r[0] % 30 == 0 for r in rows[1:])
+        rows.clear()
+        # a polynomial form of degree 13 or less, which G7 integrates exactly
+        # too, converges on the first level
+        segment_integrals(counted(lambda t: t ** 13), [[1.0], [1.0]], [[2.0], [3.0]])
+        assert rows == [(2 * 15, 1)]
+
+    def test_segment_values_do_not_depend_on_the_stack(self):
+        one = segment_integrals(lambda t: 1.0 / t, [[1.0]], [[1e-3]])[0]
+        both = segment_integrals(lambda t: 1.0 / t, [[2.0], [1.0]], [[3.0], [1e-3]])[0]
+        assert one[0] == both[1]
+
+    def test_empty_stack(self):
+        val, worst = segment_integrals(lambda t: t, np.empty((0, 2)), np.empty((0, 2)))
+        assert val.shape == (0,) and worst == 0.0

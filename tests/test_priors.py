@@ -16,7 +16,7 @@ from weylprior import (
     theorem_ratio_check,
     weyl_prior_field,
 )
-from weylprior import geometry
+from weylprior import geometry, priors
 from weylprior.errors import GridError
 from weylprior.numerics import QuadratureSpec
 from weylprior.priors import PriorField, read_csv, reparam_transform, write_csv
@@ -152,15 +152,13 @@ class TestGridSweep:
     def test_one_form_calls_per_point(self, g1, monkeypatch):
         calls = count_one_forms(monkeypatch)
         weyl_prior_field(g1, g1_grid(21), anchor=[0.0, 1.0])
-        assert 0 < sum(calls) <= 25 * 441
-        # stacked calls: one for the anchor path, one for all grid edges and
-        # one-row calls for the closedness probe, whatever the grid size
-        stacked = len(calls)
-        calls.clear()
-        weyl_prior_field(g1, g1_grid(5), anchor=[0.0, 1.0])
-        assert len(calls) == stacked
-        # the 24 edges of the 5x5 grid, 4 steps of 5 Gauss-Legendre nodes each
-        assert max(calls) == 24 * 4 * 5
+        # the closedness probe's stencil (4 m rows), then one stacked call per
+        # bisection level of the anchor path and of the edges: 15 Kronrod
+        # nodes per open interval, all 440 edges at once on the first level
+        assert calls[0] == 4 * 2
+        assert all(c % 15 == 0 for c in calls[1:])
+        assert 440 * 15 in calls
+        assert sum(calls) <= 16 * 441
 
     def test_theorem_ratio_sweeps_once(self, g1, monkeypatch):
         calls = count_one_forms(monkeypatch)
@@ -189,6 +187,54 @@ class TestGridSweep:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestWideGrids:
+    """In (mu, s2) with anchor (0, 1), gaussian1d has Omega = 1.5 log s2 and
+    a uniform Weyl prior, 1/sqrt(2); the sweep holds both to 1e-12 on grids
+    far from the anchor, where a fixed-step rule was off by up to 9e3."""
+
+    ANCHOR = [0.0, 1.0]
+    GRIDS = {
+        "5x5-linear": GridSpec((Axis("mu", -2.0, 2.0, 5), Axis("s2", 0.25, 16.0, 5))),
+        "1x3-1e-3..1e3": GridSpec((Axis("mu", 0.0, 0.0, 1),
+                                   Axis("s2", 1e-3, 1e3, 3, spacing="log"))),
+        "1x3-1e-6..1e6": GridSpec((Axis("mu", 0.0, 0.0, 1),
+                                   Axis("s2", 1e-6, 1e6, 3, spacing="log"))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_weyl_prior_is_uniform(self, g1, name):
+        field = weyl_prior_field(g1, self.GRIDS[name], anchor=self.ANCHOR)
+        np.testing.assert_allclose(field.values, 2.0 ** -0.5, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("s2", [1e-3, 1e3])
+    def test_prior_values_far_from_the_anchor(self, g1, s2):
+        values = prior_values(g1, [[0.5, s2], [-1.0, s2]], "weyl", anchor=self.ANCHOR)
+        np.testing.assert_allclose(values, 2.0 ** -0.5, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 1.0, 3.0])
+    def test_alpha_prior_closed_form(self, g1, alpha):
+        # exp(-alpha/2 Omega) sqrt(det g), sqrt(det g) = 1 / (sqrt(2) s2^1.5)
+        grid = self.GRIDS["1x3-1e-3..1e3"]
+        field = alpha_prior_field(g1, grid, alpha, anchor=self.ANCHOR)
+        s2 = grid.points()[:, 1]
+        want = s2 ** (-0.75 * alpha) / (np.sqrt(2.0) * s2 ** 1.5)
+        np.testing.assert_allclose(field.values, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("chart,axes,anchor", [
+        ("mu_sigma2", (Axis("mu", -2.0, 2.0, 3), Axis("s2", 1e-3, 1e3, 7, "log")),
+         [0.0, 1.0]),
+        ("mu_sigma", (Axis("mu", -2.0, 2.0, 3),
+                      Axis("sigma", 10 ** -1.5, 10 ** 1.5, 7, "log")), [0.0, 1.0]),
+        ("natural", (Axis("eta1", -2.0, 2.0, 3), Axis("eta2", -500.0, -5e-4, 7)),
+         [0.0, -0.5]),
+    ])
+    def test_omega_in_every_chart(self, g1, chart, axes, anchor):
+        grid = GridSpec(axes, chart=chart)
+        omega = priors._grid_omega(g1, grid, anchor, None)
+        s2 = g1.chart(chart).to_reference(grid.points())[:, 1]
+        np.testing.assert_allclose(omega, 1.5 * np.log(s2), rtol=0, atol=1e-12)
 
 
 class TestTheoremRatio:
