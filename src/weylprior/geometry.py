@@ -135,6 +135,7 @@ def weyl_one_form(model, theta, chart=None, quad=None):
 
 def closedness_residual(model, theta, chart=None, quad=None, diff=None):
     """R_ij = d_i phi_j - d_j phi_i; zero iff phi is closed at theta."""
+    model.require_interior(theta, chart)
     dphi = gradient(lambda t: weyl_one_form(model, t, chart, quad), theta, diff,
                     model.chart(chart).interior)
     return dphi - np.swapaxes(dphi, -1, -2)

@@ -164,14 +164,14 @@ class ModelSpec:
                 f"model {self.id!r} has no chart {name!r}; "
                 f"available: {sorted(self.charts)}") from None
 
-    def require_interior(self, theta, chart=None, margin=DOMAIN_MARGIN):
+    def require_interior(self, theta, chart=None):
         """The chart, if ``theta`` (one point, or a stack of shape (P, m)) is
         interior; otherwise DomainError naming the (first) outside point, or
         the coordinate count if it differs from the chart's dimension."""
         ch = self.chart(chart) if isinstance(chart, (str, type(None))) else chart
         theta = np.asarray(theta, dtype=float)
         stack = theta if theta.ndim == 2 else theta[None]
-        inside = ch.interior(stack, margin)
+        inside = ch.interior(stack)
         if not inside.all():
             if stack.ndim != 2 or stack.shape[1] != ch.dim:
                 count = theta.shape[-1] if theta.ndim else 1
@@ -384,8 +384,10 @@ def _bernoulli():
         "natural", ["eta"], lambda t, margin: np.isfinite(t[..., 0]),
         to_reference=lambda e: 1.0 / (1.0 + np.exp(-e[..., 0:1])),
         from_reference=lambda t: np.log(t[..., 0:1] / (1.0 - t[..., 0:1])),
-        jacobian=lambda e: (np.exp(-e[..., 0])
-                            / (1.0 + np.exp(-e[..., 0])) ** 2)[..., None, None],
+        # dp/deta = p (1 - p), even in eta: e^-|eta| keeps (1 + e^-eta)^2 from
+        # overflowing for eta <= -355
+        jacobian=lambda e: (np.exp(-np.abs(e[..., 0]))
+                            / (1.0 + np.exp(-np.abs(e[..., 0]))) ** 2)[..., None, None],
     )
 
     def logp(x, t):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidConfigError
 from .models import ModelSpec
 
 DEFAULT_NODES_1D = 64
@@ -26,7 +26,7 @@ MAX_NODES = 370
 # Gaussian in x), so the cubic tensor's integrand has degree 6, and k nodes
 # are exact up to degree 2k - 1
 MIN_CONTINUOUS_NODES = 4
-# the largest tensor grid, nodes per point, that the CLI accepts: 64^3, so a
+# the most nodes per point, of a tensor grid or a support: 64^3, so a
 # cached node table ((d + 1) doubles per node) stays at 8 MiB for d = 3 and
 # one point's scores (m doubles per node) at 18 MiB for gaussian_mv:3 (m = 9);
 # 370^3 nodes would ask for a 1.13 GiB node table alone
@@ -80,21 +80,29 @@ def nodes_per_point(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
     """Sample points per parameter point that ``sample_nodes`` returns for the
     stack ``theta_ref`` (P, m): the quadrature grid size, an int, for a
     continuous model, and the support width of every point, (P,) ints, for a
-    discrete one."""
+    discrete one.  Every tensor call passes here before a node table is
+    built: a continuous rule under MIN_CONTINUOUS_NODES nodes per dimension
+    raises InvalidConfigError, and more than MAX_GRID_NODES nodes for a
+    point raise DomainError."""
     space = model.sample_space
     if space.kind == "discrete":
         widths = space.support_size(np.asarray(theta_ref, dtype=float))
-        # bounded as floats: the width of a huge rate does not fit an int
-        if not widths.max(initial=0.0) <= MAX_GRID_NODES:
-            k = np.argmin(widths <= MAX_GRID_NODES)
-            raise DomainError(
-                f"theta={theta_ref[k].tolist()} (chart {model.reference!r}) of "
-                f"model {model.id!r} needs a support of {widths[k]:.6g} points; "
-                f"at most {MAX_GRID_NODES} are summed per point")
-        return widths.astype(int)
-    if quad is None:
-        quad = default_quadrature(model)
-    return quad.nodes ** space.dim
+    else:
+        k = (quad or default_quadrature(model)).nodes
+        if k < MIN_CONTINUOUS_NODES:
+            raise InvalidConfigError(
+                f"{k} Gauss-Hermite nodes for model {model.id!r}; at least "
+                f"{MIN_CONTINUOUS_NODES} are needed: k nodes are exact up to "
+                f"degree 2k - 1, and the cubic tensor's integrand has degree 6")
+        widths = np.array([float(k) ** space.dim])
+    # bounded as floats: the width of a huge rate does not fit an int
+    if not widths.max(initial=0.0) <= MAX_GRID_NODES:
+        i = np.argmin(widths <= MAX_GRID_NODES)
+        where = (f"theta={theta_ref[i].tolist()} (chart {model.reference!r})"
+                 if space.kind == "discrete" else f"a {k}-node rule")
+        raise DomainError(f"{where} of model {model.id!r} needs {widths[i]:.6g} "
+                          f"nodes per point; at most {MAX_GRID_NODES}")
+    return widths.astype(int) if space.kind == "discrete" else int(widths[0])
 
 
 def sample_nodes(model: ModelSpec, theta_ref, quad: QuadratureSpec = None,

@@ -237,8 +237,10 @@ def normalize_field(field: PriorField):
 def theorem_ratio_check(model, grid, anchor, quad=None, alpha=None):
     """Pointwise ratio of the Weyl prior to the alpha-parallel prior.
 
-    With the default alpha = -m the two constructions coincide; the returned
-    deviation is the max relative departure of the ratio from its grid mean.
+    Both are exp(k Omega) sqrt(det g) from one Omega, with k from
+    ``_omega_exponent``, so at the default alpha = -m the returned deviation
+    (the max relative departure of the ratio from its grid mean) is exactly
+    0 whatever Omega is: it compares the exponents, not the paper's theorem.
     """
     if alpha is None:
         alpha = -float(model.dim)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NotSPDError
-from .numerics import default_quadrature, nodes_per_point, sample_nodes
+from .numerics import nodes_per_point, sample_nodes
 
 # bound on one chunk's largest temporary, the score products s s^T that the
 # cubic contraction multiplies by: q * m * m doubles per point.  The trace
@@ -143,8 +143,6 @@ def _evaluate(model, ch, thetas, quad, extra):
     """Metric, Cholesky factor and ``extra`` arrays of a stack of points
     interior to the chart ``ch``; a failed check names the first offending
     point in stack order."""
-    if quad is None and model.sample_space.kind == "continuous":
-        quad = default_quadrature(model)
     theta_ref = ch.to_reference(thetas)
     p, m = thetas.shape
     groups = _groups(nodes_per_point(model, theta_ref, quad), p)

@@ -46,3 +46,34 @@ def expect(model, theta, f):
     the reference-chart point ``theta``."""
     x, w = sample_nodes(model, np.asarray(theta, dtype=float))
     return float(w @ f(x))
+
+
+def diagonal_gaussian(swap):
+    """N((a, b), diag(e^b, e^a)) for ``swap``, a curved family whose Weyl
+    1-form is not closed, else the product family N((a, b), diag(e^a, e^b)),
+    whose 1-form is closed; both in the one chart (a, b) on R^2."""
+    from weylprior.models import Chart, ModelSpec, SampleSpace
+
+    def variances(t):
+        return np.exp(t[..., ::-1] if swap else t)
+
+    def logp(x, t):
+        v = variances(t)[..., None, :]
+        return -0.5 * np.sum(np.log(2.0 * np.pi * v) + (x - t[..., None, :]) ** 2 / v,
+                             axis=-1)
+
+    def score(x, t):
+        v = variances(t)[..., None, :]
+        d = x - t[..., None, :]
+        # d log p / d log v_j, moved to the coordinate that log v_j is
+        by_log_variance = 0.5 * (d ** 2 / v - 1.0)
+        return d / v + (by_log_variance[..., ::-1] if swap else by_log_variance)
+
+    def std(t):
+        return t.copy(), np.sqrt(variances(t))[..., None] * np.eye(2)
+
+    chart = Chart("ab", ["a", "b"], lambda t, margin: np.ones(t.shape[:-1], dtype=bool))
+    return ModelSpec(id="diagonal_gaussian_swapped" if swap else "diagonal_gaussian",
+                     dim=2, sample_space=SampleSpace("continuous", 2),
+                     charts={chart.name: chart}, reference="ab",
+                     log_density=logp, analytic_score=score, standardize=std)

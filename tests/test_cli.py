@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylprior import get_model
+from weylprior import cli, get_model
 from weylprior.cli import _test_points, main
 from weylprior.priors import read_csv
+
+from conftest import diagonal_gaussian
 
 
 def run(capsys, *argv):
@@ -173,6 +175,20 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    # N((a, b), diag(e^b, e^a)) is not closed (its curl is 0.0345, -0.00348
+    # and -0.0880 at these points); the product family diag(e^a, e^b) is closed
+    @pytest.mark.parametrize("swap", [True, False], ids=["curved", "product"])
+    @pytest.mark.parametrize("theta", ["0.3,-0.2", "1.0,0.5", "-0.7,0.9"])
+    def test_closedness_of_a_test_local_family(self, capsys, monkeypatch, swap,
+                                               theta):
+        monkeypatch.setattr(cli, "get_model", lambda model_id: diagonal_gaussian(swap))
+        code, out, _ = run(capsys, "check", "--model", "diagonal_gaussian",
+                           "--what", "closedness", f"--theta={theta}")
+        payload = json.loads(out)
+        assert payload["pass"] is not swap
+        assert code == (1 if swap else 0)
+        assert (payload["max_residual"] > 3e-3) is swap
+
     @pytest.mark.parametrize("step", ["0", "-5", "nan"])
     def test_bad_fd_step_exit_2(self, capsys, step):
         code, _, err = run(capsys, "check", "--model", "gaussian1d",
@@ -216,6 +232,19 @@ class TestCheck:
 
 
 class TestPrior:
+    @pytest.mark.parametrize("kind", [("weyl",), ("alpha", "--alpha", "1")],
+                             ids=["weyl", "alpha"])
+    def test_potential_of_a_family_that_is_not_closed(self, capsys, monkeypatch,
+                                                      tmp_path, kind):
+        monkeypatch.setattr(cli, "get_model", lambda model_id: diagonal_gaussian(True))
+        out_path = tmp_path / "prior.csv"
+        code, out, err = run(capsys, "prior", "--model", "diagonal_gaussian",
+                             "--kind", *kind, "--anchor", "0,0",
+                             "--grid", "a=-1:1:3,b=0:2:3", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert "Weyl 1-form is not closed" in json.loads(err)["error"]
+        assert not out_path.exists()
+
     def test_weyl_csv(self, capsys, tmp_path):
         out_path = tmp_path / "weyl.csv"
         code, _, _ = run(capsys, "prior", "--model", "gaussian1d",
@@ -537,6 +566,18 @@ class TestBadInputContract:
         assert code == 2
         assert out.getvalue() == ""
         assert "is not interior" in json.loads(err.getvalue())["error"]
+
+    @pytest.mark.parametrize("eta", ["-355", "-700", "-709.78"])
+    def test_bernoulli_natural_parameter_with_a_tiny_slope(self, capsys, eta):
+        # the chart's slope dp/deta = p (1 - p), once (1 + e^-eta)^2 in a
+        # denominator, which overflowed from eta = -355
+        code, out, _ = run(capsys, "tensor", "--model", "bernoulli",
+                           "--chart", "natural", f"--theta={eta}")
+        assert code == 0
+        payload = json.loads(out)
+        want = np.exp(float(eta)) / (1.0 + np.exp(float(eta))) ** 2
+        assert payload["g"][0][0] == pytest.approx(want, rel=1e-12)
+        assert payload["C"][0][0][0] == pytest.approx(want, rel=1e-12)
 
     def test_widest_poisson_support_is_accepted(self, capsys):
         code, out, _ = run(capsys, "tensor", "--model", "poisson",

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from weylprior import (
+    Axis,
+    GridSpec,
     alpha_connection,
+    alpha_prior_field,
+    jeffreys_field,
     levi_civita,
     potential_omega,
     segment_integrals,
     weyl_connection,
     weyl_one_form,
+    weyl_prior_field,
 )
+from weylprior.errors import ClosednessError
 from weylprior.geometry import (
     closedness_residual,
     duality_residual,
@@ -21,7 +27,7 @@ from weylprior.geometry import (
     weyl_compatibility_residual,
 )
 
-from conftest import vech_theta
+from conftest import diagonal_gaussian, vech_theta
 
 
 class TestConnections:
@@ -210,6 +216,47 @@ class TestCurvatureAndResiduals:
 
     def test_trace_identity(self, g1):
         assert np.max(np.abs(trace_identity_residual(g1, [0.2, 0.8]))) < 1e-8
+
+    def test_closedness_names_an_outside_point(self, g1):
+        # not the finite-difference stencil's failure to fit the domain
+        with pytest.raises(DomainError, match=r"theta=\[0\.0, -1\.0\] is not interior"):
+            closedness_residual(g1, [0.0, -1.0])
+
+
+class TestNonClosedFamily:
+    """N((a, b), diag(e^b, e^a)), a curved family whose Weyl 1-form is not
+    closed.  Its score gives g = diag(e^-b + 1/2, e^-a + 1/2), C_aaa = C_bbb
+    = 1, C_abb = e^-a and C_baa = e^-b, so phi_a = (1/g_aa + e^-a/g_bb)/2,
+    phi_b = (e^-b/g_aa + 1/g_bb)/2 and R_ab = (f(a) - f(b))/2 with
+    f(t) = e^-t / (e^-t + 1/2)^2.  R_ab vanishes on the lines a = b and
+    a + b = ln 4 alone."""
+
+    GRID = GridSpec((Axis("a", -1.0, 1.0, 3), Axis("b", 0.0, 2.0, 3)))
+
+    @pytest.mark.parametrize("a,b", [(0.3, -0.2), (1.0, 0.5), (-0.7, 0.9)])
+    def test_closedness_residual(self, a, b):
+        f = lambda t: np.exp(-t) / (np.exp(-t) + 0.5) ** 2
+        res = closedness_residual(diagonal_gaussian(True), [a, b])
+        want = 0.5 * (f(a) - f(b))
+        assert abs(want) > 3e-3
+        np.testing.assert_allclose(res, [[0.0, want], [-want, 0.0]], atol=1e-10)
+        # the product family N((a, b), diag(e^a, e^b)) is closed
+        assert np.max(np.abs(closedness_residual(diagonal_gaussian(False), [a, b]))) < 1e-10
+
+    @pytest.mark.parametrize("build", [
+        lambda m, grid: weyl_prior_field(m, grid, [0.0, 0.0]),
+        lambda m, grid: alpha_prior_field(m, grid, 1.0, [0.0, 0.0]),
+    ], ids=["weyl", "alpha"])
+    def test_potential_priors_are_refused(self, build):
+        with pytest.raises(ClosednessError, match="not closed"):
+            build(diagonal_gaussian(True), self.GRID)
+        assert np.all(np.isfinite(build(diagonal_gaussian(False), self.GRID).values))
+
+    def test_jeffreys_field_needs_no_potential(self):
+        field = jeffreys_field(diagonal_gaussian(True), self.GRID)
+        a, b = field.points.T
+        np.testing.assert_allclose(
+            field.values, np.sqrt((np.exp(-b) + 0.5) * (np.exp(-a) + 0.5)), rtol=1e-13)
 
 
 def weyl_scale(model, waypoints):

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, stats
 
-from weylprior import DiffSpec, QuadratureSpec, get_model, segment_integrals
-from weylprior.errors import DomainError
+from weylprior import (Axis, DiffSpec, GridSpec, QuadratureSpec, get_model,
+                       jeffreys_field, numerics, segment_integrals,
+                       weyl_prior_field)
+from weylprior.errors import DomainError, InvalidConfigError
 from weylprior.numerics import (GAUSS_WEIGHTS, KRONROD_NODES, KRONROD_WEIGHTS,
                                 MAX_GRID_NODES, MAX_LEVELS, QUAD_TOL,
                                 gauss_hermite_nodes, gradient, nodes_per_point,
                                 sample_nodes)
-from weylprior.tensors import fisher_metric, metric_and_cubic
+from weylprior.tensors import cubic_trace, fisher_metric, metric_and_cubic
 
 from conftest import expect, vech_theta
 
@@ -157,6 +159,50 @@ class TestSupportBound:
         assert widths[1] <= MAX_GRID_NODES
         met, c = metric_and_cubic(pois, [2.57e5])
         assert met.g[0, 0] == pytest.approx(1.0 / 2.57e5, rel=1e-9)
+
+
+GRID_3X3 = GridSpec((Axis("mu", -1.0, 1.0, 3), Axis("s2", 0.5, 2.0, 3)))
+
+
+class TestContinuousRule:
+    """Every tensor call on a continuous family refuses a rule that would
+    give wrong tensors or too large a node table, before any table is built."""
+
+    # 3 nodes give a Weyl field of 0.4204 to 1.1892 on this grid, against
+    # 1/sqrt(2) everywhere, and C[1, 1, 1] = 0.25 at (0, 1), against 1
+    @pytest.mark.parametrize("nodes", [2, 3])
+    @pytest.mark.parametrize("call", [
+        lambda m, q: weyl_prior_field(m, GRID_3X3, [0.0, 1.0], q),
+        lambda m, q: jeffreys_field(m, GRID_3X3, q),
+        lambda m, q: fisher_metric(m, [0.0, 1.0], quad=q),
+        lambda m, q: cubic_trace(m, [0.0, 1.0], quad=q),
+    ], ids=["weyl_prior_field", "jeffreys_field", "fisher_metric", "cubic_trace"])
+    def test_too_few_nodes(self, g1, call, nodes):
+        with pytest.raises(InvalidConfigError,
+                           match=f"^{nodes} Gauss-Hermite nodes .* at least 4 "):
+            call(g1, QuadratureSpec(nodes))
+
+    def test_fewest_nodes_give_the_closed_form(self, g1):
+        np.testing.assert_allclose(
+            weyl_prior_field(g1, GRID_3X3, [0.0, 1.0], QuadratureSpec(4)).values,
+            1.0 / np.sqrt(2.0), rtol=1e-12)
+
+    def test_too_many_grid_nodes(self, monkeypatch):
+        # 65^3 nodes per point on gaussian_mv:3, one past MAX_GRID_NODES
+        grids = []
+        inner = numerics._node_grid
+
+        def recorded(k, dim):
+            grids.append((k, dim))
+            return inner(k, dim)
+
+        monkeypatch.setattr(numerics, "_node_grid", recorded)
+        with pytest.raises(DomainError, match=re.escape(
+                f"a 65-node rule of model 'gaussian_mv:3' needs 274625 nodes "
+                f"per point; at most {MAX_GRID_NODES}")):
+            fisher_metric(get_model("gaussian_mv", n=3),
+                          vech_theta(np.zeros(3), np.eye(3)), quad=QuadratureSpec(65))
+        assert grids == []
 
 
 class TestFiniteDifferences:

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weylprior import (QuadratureSpec, amari_chentsov, fisher_metric, get_model,
-                       kernels, weyl_one_form)
+from weylprior import (amari_chentsov, fisher_metric, get_model, kernels,
+                       weyl_one_form)
 from weylprior.errors import DomainError, NotSPDError
 from weylprior.numerics import sample_nodes
 from weylprior.tensors import (CHUNK_BYTES, _chunk_rows, cubic_trace, inverse_metric,
@@ -125,10 +125,16 @@ def test_metric_and_cubic_matches_separate(g1):
 
 class TestChecks:
     def test_rank_deficient_metric_names_theta(self, mv2):
-        # 2 nodes per sample dimension give 4 score vectors for 5 parameters
+        # a score whose last column vanishes gives a metric whose last pivot
+        # is exactly 0, whatever order the contraction sums in
+        def zero_column(x, t):
+            s = mv2.analytic_score(x, t)
+            s[..., 4] = 0.0
+            return s
+
         theta = [0.0, 0.0, 1.0, 0.2, 1.0]
         with pytest.raises(NotSPDError) as exc:
-            weyl_one_form(mv2, theta, quad=QuadratureSpec(2))
+            weyl_one_form(replace(mv2, analytic_score=zero_column), theta)
         assert "theta=[0.0, 0.0, 1.0, 0.2, 1.0]" in str(exc.value)
 
     def test_non_finite_trace_names_theta(self, g1, monkeypatch):
