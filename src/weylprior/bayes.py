@@ -33,7 +33,6 @@ class PosteriorGrid:
     points: np.ndarray
     log_values: np.ndarray       # normalized log density over the grid
     masses: np.ndarray           # per-cell probability mass, sums to 1
-    grid: object = None
 
 
 def load_observations(path, model: ModelSpec) -> Dataset:
@@ -90,7 +89,7 @@ def grid_posterior(model: ModelSpec, prior: PriorField,
     norm = _log_sum_exp(logpost + logvol)
     log_values = logpost - norm
     masses = np.exp(log_values + logvol)
-    return PosteriorGrid(pts, log_values, masses, grid=prior.grid)
+    return PosteriorGrid(pts, log_values, masses)
 
 
 def _log_sum_exp(a):

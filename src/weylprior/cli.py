@@ -22,9 +22,9 @@ from .numerics import DiffSpec, QuadratureSpec, nodes_per_point
 from .tensors import metric_and_cubic
 
 # every identity residual and the Weyl field's spread and chart covariance
-# are judged against CHECK_TOL; the Weyl/alpha-parallel theorem ratio is a
-# ratio of two fields from the same potential, so it is held tighter
-CHECK_TOL = 1e-6
+# are judged against geometry.CLOSEDNESS_TOL, the potential's own bound;
+# the Weyl/alpha-parallel theorem ratio is a ratio of two fields from the
+# same potential, so it is held tighter
 THEOREM_RATIO_TOL = 1e-8
 
 
@@ -44,14 +44,9 @@ def _parse_grid(text, chart_name):
         bits = spec.split(":")
         if len(bits) not in (3, 4):
             raise WeylPriorError(f"bad grid axis {part!r}; use name=min:max:count[:log]")
-        spacing = "linear"
-        if len(bits) == 4:
-            if bits[3] != "log":
-                raise WeylPriorError(f"unknown spacing {bits[3]!r} in {part!r}")
-            spacing = "log"
         try:
             axes.append(priors.Axis(name.strip(), float(bits[0]), float(bits[1]),
-                                    int(bits[2]), spacing))
+                                    int(bits[2]), *bits[3:]))
         except ValueError as exc:
             raise WeylPriorError(f"bad grid axis {part!r}: {exc}") from None
     return priors.GridSpec(tuple(axes), chart=chart_name)
@@ -130,7 +125,7 @@ def run_check(model, what, theta, alpha=1.0, chart=None, quad=None, diff=None):
                                                     chart, quad, diff)))
     else:
         raise WeylPriorError(f"unknown check {what!r}")
-    return float(res), CHECK_TOL
+    return float(res), geometry.CLOSEDNESS_TOL
 
 
 def cmd_check(args):
@@ -274,13 +269,13 @@ def cmd_verify_all(args):
                THEOREM_RATIO_TOL)
         wf = priors.weyl_prior_field(model, grid, anchor, quad)
         spread = (wf.values.max() - wf.values.min()) / wf.values.mean()
-        record("weyl-constancy", anchor, spread, CHECK_TOL)
+        record("weyl-constancy", anchor, spread, geometry.CLOSEDNESS_TOL)
         moved = priors.reparam_transform(wf, model, "mu_sigma")
         native = priors.prior_values(model, moved.points, "weyl",
                                      anchor=np.array([0.0, 1.0]),
                                      chart="mu_sigma", quad=quad)
         dev = np.max(np.abs(moved.values - native) / np.abs(native))
-        record("reparam-covariance", anchor, dev, CHECK_TOL)
+        record("reparam-covariance", anchor, dev, geometry.CLOSEDNESS_TOL)
 
     summary = {"model": model.id, "checks": len(results), "failures": failures}
     print(json.dumps(summary))

@@ -232,18 +232,17 @@ def gauge_residual(model, theta, lam, chart=None, quad=None, diff=None):
     the Weyl structure, not on the gauge that represents it.
 
     ``lam`` maps a stack of points (K, m) to values (K,) and one point (m,) to
-    a scalar, e.g. ``lambda t: t[..., 0]``.  The Levi-Civita coefficients of
-    e^lam g come from d(e^lam g), differenced on its own stencil with one
-    metric call; d lam is differenced on the same stencil.
+    a scalar, e.g. ``lambda t: t[..., 0]``.  d lam is differenced on the
+    bundle's stencil, and the Levi-Civita coefficients of e^lam g come from
+    d_k(e^lam g) = e^lam (d_k lam g + d_k g) with the bundle's d g, so the
+    check makes no tensor call beyond the bundle.
     """
     theta = np.asarray(theta, dtype=float)
     b = _bundle(model, theta, chart, quad, diff)
-    interior = model.chart(chart).interior
     scale = np.exp(lam(theta))[..., None, None]
-    dlam = gradient(lam, theta, diff, interior)
-    dg = gradient(lambda t: np.exp(lam(t))[:, None, None]
-                  * fisher_metric(model, t, chart, quad).g,
-                  theta, diff, interior)
+    dlam = gradient(lam, theta, diff, model.chart(chart).interior)
+    dg = scale[..., None] * (dlam[..., :, None, None] * b.g[..., None, :, :]
+                             + b.dg)
     ginv = b.ginv / scale
     gauged = replace(b, g=scale * b.g, ginv=ginv, phi=b.phi - dlam, dg=dg,
                      lc=_levi_civita(ginv, dg))

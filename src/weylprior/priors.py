@@ -95,9 +95,6 @@ class PriorField:
     kind: str                  # "jeffreys" | "alpha" | "weyl", or "loaded" from a CSV
     chart: str
     grid: Optional[GridSpec] = None
-    alpha: Optional[float] = None
-    anchor: Optional[np.ndarray] = None
-    normalization: str = "unnormalized"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -135,8 +132,9 @@ def _omega_exponent(model, kind, alpha, anchor):
     return -0.5 * alpha if kind == "alpha" else 0.5 * model.dim
 
 
-def _grid_omega(model, grid: GridSpec, anchor, quad):
-    """Omega at every grid point (C order) by one sweep over the grid.
+def _grid_omega(model, grid: GridSpec, pts, anchor, quad):
+    """Omega at the grid's points ``pts`` (C order, interior to the chart) by
+    one sweep over the grid.
 
     One potential_omega path runs from the anchor to the first grid point
     and probes closedness.  Every other point adds, to the value of its
@@ -150,7 +148,6 @@ def _grid_omega(model, grid: GridSpec, anchor, quad):
     convex (see ``Chart``), so an edge between two interior grid points
     stays interior.
     """
-    pts = _chart_points(model, grid.points(), grid.chart)
     shape = grid.shape
     n = np.arange(1, len(pts))
     idx = np.array(np.unravel_index(n, shape)).T
@@ -170,42 +167,40 @@ def _grid_omega(model, grid: GridSpec, anchor, quad):
     return omega.reshape(-1)
 
 
-def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
-                 chart=None, quad=None, omega=None):
-    """Unnormalized prior density values at arbitrary chart points.
-
-    Omega comes from one stacked potential_omega call over all points,
-    unless ``omega`` already holds its values at the points (the field
-    builders pass their grid sweep).
-    """
-    points = _chart_points(model, points, chart)
-    exponent = _omega_exponent(model, kind, alpha, anchor)
-    if exponent is not None and omega is None:
-        omega = potential_omega(model, points, anchor, chart, quad)
+def _jeffreys(model, points, chart, quad):
+    """sqrt(det g) at each of ``points`` (N, m), interior to the chart."""
     # one-row calls: one stacked call makes perfbench's jeffreys-posterior-poisson
     # round shorter than its host-speed sampling interval, which fails the
     # run (ROADMAP item 0).  For the same reason the Poisson posterior must
     # not be shortened either until item 0 lands: a sufficient-statistics
     # posterior cut its GIL-held stretch from about 25 ms to 3 ms, and both
     # of its Poisson runs failed
-    jeffreys = np.array([sqrt_det_metric(fisher_metric(model, t, chart, quad))
-                         for t in points])
+    return np.array([sqrt_det_metric(fisher_metric(model, t, chart, quad))
+                     for t in points])
+
+
+def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
+                 chart=None, quad=None):
+    """Unnormalized prior density values at arbitrary chart points, with
+    Omega from one stacked potential_omega call over all points."""
+    points = _chart_points(model, points, chart)
+    exponent = _omega_exponent(model, kind, alpha, anchor)
     if exponent is None:
-        return jeffreys
-    return np.exp(exponent * omega) * jeffreys
+        return _jeffreys(model, points, chart, quad)
+    omega = potential_omega(model, points, anchor, chart, quad)
+    return np.exp(exponent * omega) * _jeffreys(model, points, chart, quad)
 
 
 def _build(model, grid: GridSpec, kind, alpha=None, anchor=None, quad=None,
-           normalize=False, omega=None):
-    if omega is None and _omega_exponent(model, kind, alpha, anchor) is not None:
-        omega = _grid_omega(model, grid, anchor, quad)
-    pts = grid.points()
-    values = prior_values(model, pts, kind, alpha, anchor, grid.chart, quad,
-                          omega)
-    chart = grid.chart or model.reference
-    anchor_arr = None if anchor is None else np.asarray(anchor, dtype=float)
-    field = PriorField(pts, values, kind, chart, grid=grid, alpha=alpha,
-                       anchor=anchor_arr)
+           normalize=False):
+    exponent = _omega_exponent(model, kind, alpha, anchor)
+    pts = _chart_points(model, grid.points(), grid.chart)
+    if exponent is None:
+        values = _jeffreys(model, pts, grid.chart, quad)
+    else:
+        omega = _grid_omega(model, grid, pts, anchor, quad)
+        values = np.exp(exponent * omega) * _jeffreys(model, pts, grid.chart, quad)
+    field = PriorField(pts, values, kind, grid.chart or model.reference, grid)
     return normalize_field(field) if normalize else field
 
 
@@ -230,24 +225,28 @@ def normalize_field(field: PriorField):
     if field.grid is None:
         raise GridError("normalization needs grid cell volumes")
     mass = float(field.values @ field.grid.cell_volumes())
-    return replace(field, values=field.values / mass,
-                   normalization="normalized-over-grid")
+    return replace(field, values=field.values / mass)
 
 
 def theorem_ratio_check(model, grid, anchor, quad=None, alpha=None):
     """Pointwise ratio of the Weyl prior to the alpha-parallel prior.
 
-    Both are exp(k Omega) sqrt(det g) from one Omega, with k from
-    ``_omega_exponent``, so at the default alpha = -m the returned deviation
-    (the max relative departure of the ratio from its grid mean) is exactly
-    0 whatever Omega is: it compares the exponents, not the paper's theorem.
+    Both fields are exp(k Omega) sqrt(det g), with k from
+    ``_omega_exponent``, built from one grid sweep for Omega and one
+    Jeffreys pass, so at the default alpha = -m the returned deviation (the
+    max relative departure of the ratio from its grid mean) is exactly 0
+    whatever Omega is: it compares the exponents, not the paper's theorem.
     """
     if alpha is None:
         alpha = -float(model.dim)
-    omega = _grid_omega(model, grid, anchor, quad)
-    wf = _build(model, grid, "weyl", anchor=anchor, quad=quad, omega=omega)
-    af = _build(model, grid, "alpha", alpha=alpha, anchor=anchor, quad=quad,
-                omega=omega)
+    exponents = {kind: _omega_exponent(model, kind, alpha, anchor)
+                 for kind in ("weyl", "alpha")}
+    pts = _chart_points(model, grid.points(), grid.chart)
+    omega = _grid_omega(model, grid, pts, anchor, quad)
+    jeffreys = _jeffreys(model, pts, grid.chart, quad)
+    wf, af = (PriorField(pts, np.exp(k * omega) * jeffreys, kind,
+                         grid.chart or model.reference, grid)
+              for kind, k in exponents.items())
     ratio = wf.values / af.values
     mean = float(np.mean(ratio))
     dev = float(np.max(np.abs(ratio - mean)) / abs(mean))
@@ -270,8 +269,7 @@ def reparam_transform(field: PriorField, model: ModelSpec, target_chart):
     if bad.any():
         raise GridError(
             f"singular chart Jacobian at {new_pts[np.argmax(bad)].tolist()}")
-    return PriorField(new_pts, field.values * np.abs(det), field.kind, tgt.name,
-                      grid=None, alpha=field.alpha, anchor=field.anchor)
+    return PriorField(new_pts, field.values * np.abs(det), field.kind, tgt.name)
 
 
 # ---------------------------------------------------------------------------

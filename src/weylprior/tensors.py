@@ -112,16 +112,20 @@ def _contract(model, ch, thetas, theta_ref, quad, extra, width):
     nothing (None), of points that share one node count (``width`` nodes for
     a discrete model)."""
     x, w = sample_nodes(model, theta_ref, quad, width)
-    s = model.score_ref(x, theta_ref)
-    if ch.name != model.reference:
-        s = s @ ch.jacobian(thetas)
-    g = kernels.pair_contract_stack(w, s)
-    chol = _factor(g)
-    if extra == "cubic":
-        return g, chol, kernels.triple_contract_stack(w, s)
-    if extra == "trace":
-        return g, chol, kernels.trace_contract_stack(w, s, _inverse(chol))
-    return g, chol, None
+    # the score of a point whose image is tiny but representable overflows
+    # (a Poisson rate below about 1e-307 divides the counts); its inf or NaN
+    # reaches the stack checks, which name the point
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = model.score_ref(x, theta_ref)
+        if ch.name != model.reference:
+            s = s @ ch.jacobian(thetas)
+        g = kernels.pair_contract_stack(w, s)
+        chol = _factor(g)
+        if extra == "cubic":
+            return g, chol, kernels.triple_contract_stack(w, s)
+        if extra == "trace":
+            return g, chol, kernels.trace_contract_stack(w, s, _inverse(chol))
+        return g, chol, None
 
 
 def _groups(q, p):

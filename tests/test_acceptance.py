@@ -248,7 +248,7 @@ def test_09_posterior_sanity(g1):
 
     from weylprior.priors import PriorField
     scaled = PriorField(prior.points, prior.values * 123.0, prior.kind,
-                        prior.chart, grid=grid, anchor=prior.anchor)
+                        prior.chart, grid=grid)
     post2 = grid_posterior(g1, scaled, Dataset(obs))
     rescale_err = float(np.max(np.abs(post.masses - post2.masses)))
 

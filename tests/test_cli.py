@@ -307,6 +307,14 @@ class TestPrior:
         assert code == 2
         assert "grid axis" in json.loads(err)["error"]
 
+    def test_unknown_grid_spacing(self, capsys, tmp_path):
+        code, _, err = run(capsys, "prior", "--model", "gaussian1d",
+                           "--kind", "jeffreys", "--grid", "mu=0:1:3:lin",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "'lin'" in json.loads(err)["error"]
+        assert not (tmp_path / "x.csv").exists()
+
 
     def test_weyl_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the Weyl 1-form's trace kernel is batched matrix products, like the
@@ -566,6 +574,22 @@ class TestBadInputContract:
         assert code == 2
         assert out.getvalue() == ""
         assert "is not interior" in json.loads(err.getvalue())["error"]
+
+    @pytest.mark.parametrize("eta", ["-707", "-745", "-745.1"])
+    def test_poisson_natural_parameter_with_a_tiny_rate(self, eta):
+        # the rate e^eta is representable, so the point is interior, but the
+        # score x / rate overflows on the support's counts; the metric check
+        # names the point, and no RuntimeWarning escapes
+        argv = ["tensor", "--model", "poisson", "--chart", "natural", f"--theta={eta}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == 2
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"] == (
+            f"non-finite Fisher metric at theta=[{float(eta)}]")
 
     @pytest.mark.parametrize("eta", ["-355", "-700", "-709.78"])
     def test_bernoulli_natural_parameter_with_a_tiny_slope(self, capsys, eta):

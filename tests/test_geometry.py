@@ -252,6 +252,15 @@ class TestNonClosedFamily:
             build(diagonal_gaussian(True), self.GRID)
         assert np.all(np.isfinite(build(diagonal_gaussian(False), self.GRID).values))
 
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+        "the sweep probes closedness once, at (-0.5, -0.5) on the zero-curl "
+        "line a = b; refusing this grid needs the cell-loop integrals of "
+        "ROADMAP items 4 and 10"))
+    def test_symmetric_grid_is_refused(self):
+        grid = GridSpec((Axis("a", -1.0, 1.0, 3), Axis("b", -1.0, 1.0, 3)))
+        with pytest.raises(ClosednessError, match="not closed"):
+            weyl_prior_field(diagonal_gaussian(True), grid, [0.0, 0.0])
+
     def test_jeffreys_field_needs_no_potential(self):
         field = jeffreys_field(diagonal_gaussian(True), self.GRID)
         a, b = field.points.T

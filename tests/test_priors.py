@@ -16,7 +16,7 @@ from weylprior import (
     theorem_ratio_check,
     weyl_prior_field,
 )
-from weylprior import geometry, priors
+from weylprior import geometry, priors, tensors
 from weylprior.errors import GridError
 from weylprior.numerics import QuadratureSpec
 from weylprior.priors import PriorField, read_csv, reparam_transform, write_csv
@@ -100,7 +100,6 @@ class TestFields:
         field = normalize_field(jeffreys_field(g1, small_grid()))
         mass = field.values @ field.grid.cell_volumes()
         assert mass == pytest.approx(1.0, abs=1e-12)
-        assert field.normalization == "normalized-over-grid"
 
 
 def count_one_forms(monkeypatch):
@@ -162,11 +161,23 @@ class TestGridSweep:
 
     def test_theorem_ratio_sweeps_once(self, g1, monkeypatch):
         calls = count_one_forms(monkeypatch)
+        tensor_calls = []
+        inner = tensors._tensors
+
+        def counted(model, theta, *args, **kwargs):
+            tensor_calls.append(np.shape(theta))
+            return inner(model, theta, *args, **kwargs)
+
+        monkeypatch.setattr(tensors, "_tensors", counted)
         weyl_prior_field(g1, small_grid(), anchor=[0.0, 1.0])
-        one_field = list(calls)
+        one_field = list(calls), list(tensor_calls)
         calls.clear()
+        tensor_calls.clear()
         theorem_ratio_check(g1, small_grid(), anchor=[0.0, 1.0])
-        assert calls == one_field
+        # one sweep for Omega and one Jeffreys pass: the tensor calls of one
+        # field, 25 of them one-row metrics for sqrt(det g)
+        assert (calls, tensor_calls) == one_field
+        assert tensor_calls.count((2,)) == 25
 
     @pytest.mark.parametrize("case", ["gaussian1d-21x21", "gaussian_mv2-5x5"])
     def test_bounded_memory(self, request, case):
@@ -232,7 +243,7 @@ class TestWideGrids:
     ])
     def test_omega_in_every_chart(self, g1, chart, axes, anchor):
         grid = GridSpec(axes, chart=chart)
-        omega = priors._grid_omega(g1, grid, anchor, None)
+        omega = priors._grid_omega(g1, grid, grid.points(), anchor, None)
         s2 = g1.chart(chart).to_reference(grid.points())[:, 1]
         np.testing.assert_allclose(omega, 1.5 * np.log(s2), rtol=0, atol=1e-12)
 
