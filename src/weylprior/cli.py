@@ -105,27 +105,25 @@ def cmd_tensor(args):
 def run_check(model, what, theta, alpha=1.0, chart=None, quad=None, diff=None):
     """Evaluate one named residual; returns (max_residual, tolerance)."""
     if what == "closedness":
-        res = np.max(np.abs(geometry.closedness_residual(model, theta, chart, quad, diff)))
+        res = geometry.closedness_residual(model, theta, chart, quad, diff)
     elif what == "duality":
-        res = np.max(np.abs(geometry.duality_residual(model, theta, alpha, chart, quad, diff)))
+        res = geometry.duality_residual(model, theta, alpha, chart, quad, diff)
     elif what == "nabla-g":
-        res = np.max(np.abs(geometry.nabla_g_identity_residual(model, theta, alpha,
-                                                               chart, quad, diff)))
+        res = geometry.nabla_g_identity_residual(model, theta, alpha, chart,
+                                                 quad, diff)
     elif what == "weyl-compat":
-        res = np.max(np.abs(geometry.weyl_compatibility_residual(model, theta, chart,
-                                                                 quad, diff)))
+        res = geometry.weyl_compatibility_residual(model, theta, chart, quad, diff)
     elif what == "ricci-symmetry":
         ric = geometry.ricci_tensor(model, theta, "alpha", alpha, chart, quad, diff)
-        res = np.max(np.abs(ric - ric.T))
+        res = ric - ric.T
     elif what == "trace-identity":
-        res = np.max(np.abs(geometry.trace_identity_residual(model, theta, chart,
-                                                             quad, diff)))
+        res = geometry.trace_identity_residual(model, theta, chart, quad, diff)
     elif what == "gauge":
-        res = np.max(np.abs(geometry.gauge_residual(model, theta, lambda t: t[..., 0],
-                                                    chart, quad, diff)))
+        res = geometry.gauge_residual(model, theta, lambda t: t[..., 0], chart,
+                                      quad, diff)
     else:
         raise WeylPriorError(f"unknown check {what!r}")
-    return float(res), geometry.CLOSEDNESS_TOL
+    return float(np.max(np.abs(res))), geometry.CLOSEDNESS_TOL
 
 
 def cmd_check(args):
@@ -210,6 +208,15 @@ def cmd_posterior(args):
     return 0
 
 
+# verify-all's checks at each of its points, in output order: (label, the
+# ``run_check`` name, alpha); ``check --what`` offers the names
+SUITE = ([(what, what, 1.0)
+          for what in ("closedness", "weyl-compat", "trace-identity", "gauge")]
+         + [(f"{what}(alpha={alpha})", what, alpha)
+            for alpha in (-2.0, 0.0, 1.0) for what in ("duality", "nabla-g")]
+         + [(f"ricci-symmetry(alpha={alpha})", "ricci-symmetry", alpha)
+            for alpha in (-2.0, 0.0, 1.0, 2.0)])
+
 DEFAULT_TEST_POINTS = {
     "gaussian1d": ["0,1", "1,2", "-1,4"],
     "bernoulli": ["0.3", "0.5"],
@@ -230,34 +237,20 @@ def _test_points(model):
 def cmd_verify_all(args):
     model = get_model(args.model)
     quad = _quad(args, model)
-    failures = 0
     results = []
 
     def record(check, theta, res, tol):
-        nonlocal failures
-        ok = res < tol
-        failures += 0 if ok else 1
         entry = {"check": check, "theta": np.asarray(theta).tolist(),
-                 "max_residual": float(res), "tolerance": tol, "pass": bool(ok)}
+                 "max_residual": float(res), "tolerance": tol,
+                 "pass": bool(res < tol)}
         results.append(entry)
         print(json.dumps(entry))
 
     chart = model.chart(args.chart)
     for theta in map(chart.from_reference, _test_points(model)):
-        for what in ("closedness", "weyl-compat", "trace-identity", "gauge"):
-            res, tol = run_check(model, what, theta, chart=args.chart, quad=quad)
-            record(what, theta, res, tol)
-        for alpha in (-2.0, 0.0, 1.0):
-            res, tol = run_check(model, "duality", theta, alpha=alpha,
-                                 chart=args.chart, quad=quad)
-            record(f"duality(alpha={alpha})", theta, res, tol)
-            res, tol = run_check(model, "nabla-g", theta, alpha=alpha,
-                                 chart=args.chart, quad=quad)
-            record(f"nabla-g(alpha={alpha})", theta, res, tol)
-        for alpha in (-2.0, 0.0, 1.0, 2.0):
-            res, tol = run_check(model, "ricci-symmetry", theta, alpha=alpha,
-                                 chart=args.chart, quad=quad)
-            record(f"ricci-symmetry(alpha={alpha})", theta, res, tol)
+        for label, what, alpha in SUITE:
+            record(label, theta, *run_check(model, what, theta, alpha,
+                                            args.chart, quad))
 
     if model.id == "gaussian1d":
         # the Weyl prior is uniform in the reference chart (mu, sigma^2)
@@ -277,6 +270,7 @@ def cmd_verify_all(args):
         dev = np.max(np.abs(moved.values - native) / np.abs(native))
         record("reparam-covariance", anchor, dev, geometry.CLOSEDNESS_TOL)
 
+    failures = sum(not entry["pass"] for entry in results)
     summary = {"model": model.id, "checks": len(results), "failures": failures}
     print(json.dumps(summary))
     return 0 if failures == 0 else 1
@@ -296,19 +290,19 @@ def build_parser():
                        help="gaussian1d | gaussian_mv:n | bernoulli | poisson")
         p.add_argument("--chart", default=None)
         p.add_argument("--quad-nodes", type=int, default=None)
-        p.add_argument("--out", default=None)
 
     p = sub.add_parser("tensor", help="metric and cubic tensor at a point, as JSON")
     common(p)
     p.add_argument("--theta", required=True)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("check", help="evaluate one geometric identity residual")
     common(p)
     p.add_argument("--what", required=True,
-                   choices=["closedness", "duality", "weyl-compat",
-                            "ricci-symmetry", "gauge", "trace-identity", "nabla-g"])
+                   choices=list(dict.fromkeys(what for _, what, _ in SUITE)))
     p.add_argument("--theta", required=True)
+    p.add_argument("--out", default=None)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--fd-step", type=float, default=None)
     p.set_defaults(func=cmd_check)
@@ -321,6 +315,7 @@ def build_parser():
     p.add_argument("--grid", required=True,
                    help='e.g. "mu=-2:2:21,s2=0.25:16:21:log"')
     p.add_argument("--normalize", action="store_true")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prior)
 
     p = sub.add_parser("posterior", help="grid posterior from a prior and data")
@@ -335,6 +330,7 @@ def build_parser():
     p.add_argument("--demo-n", type=int, default=None)
     p.add_argument("--demo-theta", default="1,2")
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_posterior)
 
     p = sub.add_parser("verify-all", help="run the full invariant suite for a model")
@@ -345,13 +341,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("prior", "posterior") and not args.out:
-        parser.error(f"{args.command} requires --out")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WeylPriorError as exc:
+    # OSError: an --out, --data or --prior-file path that cannot be opened
+    except (WeylPriorError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ClosednessError, DomainError
+from .errors import ClosednessError, DomainError, NotSPDError
 from .numerics import DiffSpec, gradient, segment_integrals
 from .tensors import cubic_trace, fisher_metric, inverse_metric, metric_and_cubic
 
@@ -136,8 +136,12 @@ def weyl_one_form(model, theta, chart=None, quad=None):
 def closedness_residual(model, theta, chart=None, quad=None, diff=None):
     """R_ij = d_i phi_j - d_j phi_i; zero iff phi is closed at theta."""
     model.require_interior(theta, chart)
-    dphi = gradient(lambda t: weyl_one_form(model, t, chart, quad), theta, diff,
-                    model.chart(chart).interior)
+    try:
+        dphi = gradient(lambda t: weyl_one_form(model, t, chart, quad), theta,
+                        diff, model.chart(chart).interior)
+    except NotSPDError as exc:  # it names a stencil point, not theta
+        raise NotSPDError(f"the Weyl 1-form at theta={np.asarray(theta).tolist()} "
+                          f"cannot be differenced: {exc}") from None
     return dphi - np.swapaxes(dphi, -1, -2)
 
 

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DataError, DomainError, InvalidConfigError, UnknownModelError
+from .numerics import MIN_CONTINUOUS_NODES, max_nodes_per_point
 
 # margin used for interiority checks of chart domains; FD stencils need room
 DOMAIN_MARGIN = 1e-10
@@ -305,6 +306,14 @@ def _gaussian1d():
 
 def _gaussian_mv(n):
     m = n + n * (n + 1) // 2
+    # refused before the vech indices are built; the power is taken only
+    # once m^2 alone fits the budget
+    limit = max_nodes_per_point(m)
+    if limit < MIN_CONTINUOUS_NODES or MIN_CONTINUOUS_NODES ** n > limit:
+        raise InvalidConfigError(
+            f"gaussian_mv:{n}: {n} sample dimensions need at least "
+            f"{MIN_CONTINUOUS_NODES}^{n} nodes per point; at most {limit} at "
+            f"dimension {m}")
     idx = vech_indices(n)
 
     def split(t):

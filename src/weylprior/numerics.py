@@ -11,10 +11,13 @@ to machine precision.
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, InvalidConfigError
-from .models import ModelSpec
+
+if TYPE_CHECKING:  # models imports this module for its node bounds
+    from .models import ModelSpec
 
 DEFAULT_NODES_1D = 64
 DEFAULT_NODES_ND = 32
@@ -31,13 +34,19 @@ MIN_CONTINUOUS_NODES = 4
 # one point's scores (m doubles per node) at 18 MiB for gaussian_mv:3 (m = 9);
 # 370^3 nodes would ask for a 1.13 GiB node table alone
 MAX_GRID_NODES = 64 ** 3
+# the most doubles one step of a computation may hold: 2^25, 256 MiB.  A
+# tensor call's largest array is the cubic contraction's score products,
+# q m^2 doubles per point (q nodes, dimension m), which chunking cannot
+# split; the budget admits gaussian_mv:3 (m = 9) at 64 nodes per dimension
+# (162 MiB) and refuses gaussian_mv:9 (m = 54) at 4 (5.70 GiB)
+MAX_STEP_DOUBLES = 2 ** 25
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Hermite node count per sample dimension."""
 
-    nodes: int = DEFAULT_NODES_1D
+    nodes: int
 
     def __post_init__(self):
         if self.nodes < 2:
@@ -76,14 +85,20 @@ def gauss_hermite_nodes(k, dim=1):
     return _node_grid(k, dim)
 
 
-def nodes_per_point(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
+def max_nodes_per_point(m):
+    """The most nodes per point a tensor call on a family of dimension ``m``
+    takes: at most MAX_GRID_NODES, and q m^2 within MAX_STEP_DOUBLES."""
+    return min(MAX_GRID_NODES, MAX_STEP_DOUBLES // (m * m))
+
+
+def nodes_per_point(model: "ModelSpec", theta_ref, quad: QuadratureSpec = None):
     """Sample points per parameter point that ``sample_nodes`` returns for the
     stack ``theta_ref`` (P, m): the quadrature grid size, an int, for a
     continuous model, and the support width of every point, (P,) ints, for a
     discrete one.  Every tensor call passes here before a node table is
     built: a continuous rule under MIN_CONTINUOUS_NODES nodes per dimension
-    raises InvalidConfigError, and more than MAX_GRID_NODES nodes for a
-    point raise DomainError."""
+    raises InvalidConfigError, and more than ``max_nodes_per_point`` nodes
+    for a point raise DomainError."""
     space = model.sample_space
     if space.kind == "discrete":
         widths = space.support_size(np.asarray(theta_ref, dtype=float))
@@ -95,17 +110,19 @@ def nodes_per_point(model: ModelSpec, theta_ref, quad: QuadratureSpec = None):
                 f"{MIN_CONTINUOUS_NODES} are needed: k nodes are exact up to "
                 f"degree 2k - 1, and the cubic tensor's integrand has degree 6")
         widths = np.array([float(k) ** space.dim])
+    limit = max_nodes_per_point(model.dim)
     # bounded as floats: the width of a huge rate does not fit an int
-    if not widths.max(initial=0.0) <= MAX_GRID_NODES:
-        i = np.argmin(widths <= MAX_GRID_NODES)
+    if not widths.max(initial=0.0) <= limit:
+        i = np.argmin(widths <= limit)
         where = (f"theta={theta_ref[i].tolist()} (chart {model.reference!r})"
                  if space.kind == "discrete" else f"a {k}-node rule")
+        why = "" if limit == MAX_GRID_NODES else f" at dimension {model.dim}"
         raise DomainError(f"{where} of model {model.id!r} needs {widths[i]:.6g} "
-                          f"nodes per point; at most {MAX_GRID_NODES}")
+                          f"nodes per point; at most {limit}{why}")
     return widths.astype(int) if space.kind == "discrete" else int(widths[0])
 
 
-def sample_nodes(model: ModelSpec, theta_ref, quad: QuadratureSpec = None,
+def sample_nodes(model: "ModelSpec", theta_ref, quad: QuadratureSpec = None,
                  width=None):
     """Sample points and probability weights realizing E_theta[.].
 

@@ -6,6 +6,7 @@ through Omega(anchor) = 0.
 """
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -15,7 +16,7 @@ from . import geometry
 from .errors import GridError
 from .geometry import potential_omega
 from .models import ModelSpec
-from .numerics import segment_integrals
+from .numerics import KRONROD_NODES, MAX_STEP_DOUBLES, segment_integrals
 from .tensors import fisher_metric, sqrt_det_metric
 
 
@@ -55,6 +56,18 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
+        # the heaviest step on a grid of m axes is the Weyl sweep's first
+        # level: a 1-form call on the 15 Kronrod nodes of each point's edge,
+        # holding per node a metric and its Cholesky factor (2 m^2 doubles),
+        # the node, its reference image and its 1-form (3 m doubles).  (The
+        # measured peak per point is 1.0 kB on poisson and 1.8 kB on
+        # gaussian1d, against the 0.6 kB and 1.7 kB counted here.)
+        m, count = len(self.axes), math.prod(self.shape)
+        per_point = len(KRONROD_NODES) * (2 * m * m + 3 * m)
+        if count * per_point > MAX_STEP_DOUBLES:
+            raise GridError(f"grid axis counts {list(self.shape)} give {count} "
+                            f"points; at most {MAX_STEP_DOUBLES // per_point} "
+                            f"for {m} axis(es)")
 
     @property
     def shape(self):
@@ -276,13 +289,12 @@ def reparam_transform(field: PriorField, model: ModelSpec, target_chart):
 # CSV round trip (coordinate columns then "value"; repr formatting so floats
 # survive a decimal round trip)
 
-def write_csv(field: PriorField, path, coord_names=None):
-    if coord_names is None:
-        coord_names = (field.grid.names if field.grid is not None
-                       else [f"x{i}" for i in range(field.points.shape[1])])
+def write_csv(field: PriorField, path):
+    coord_names = (field.grid.names if field.grid is not None
+                   else [f"x{i}" for i in range(field.points.shape[1])])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(coord_names) + ["value"])
+        writer.writerow(coord_names + ["value"])
         for pt, val in zip(field.points, field.values):
             writer.writerow([repr(float(c)) for c in pt] + [repr(float(val))])
 

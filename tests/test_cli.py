@@ -124,6 +124,50 @@ class TestTensor:
         assert "--quad-nodes 370" in json.loads(err)["error"]
         assert (370, 3) not in grids
 
+    # 22^4 nodes per point on gaussian_mv:4 (m = 14) pass 64^3, but one
+    # point's score products would take 22^4 * 14^2 doubles (367 MB); the
+    # rule is refused before any node table is built
+    @pytest.mark.parametrize("command", [
+        ("tensor",), ("check", "--what", "closedness")], ids=["tensor", "check"])
+    def test_too_many_score_products_exit_2(self, capsys, monkeypatch, command):
+        from weylprior import numerics
+        inner = numerics._node_grid
+
+        def guarded(k, dim):
+            assert (k, dim) != (22, 4)
+            return inner(k, dim)
+
+        monkeypatch.setattr(numerics, "_node_grid", guarded)
+        code, out, err = run(capsys, command[0], "--model", "gaussian_mv:4",
+                             *command[1:], "--theta", "0,0,0,0,1,0,0,0,1,0,0,1,0,1",
+                             "--quad-nodes", "22")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].startswith(
+            "--quad-nodes 22: a 22-node rule of model 'gaussian_mv:4' needs "
+            "234256 nodes per point; at most 171196")
+
+    # no rule of 4 or more nodes per sample dimension fits these families:
+    # gaussian_mv:9 at 4 nodes would ask for a 5.70 GiB array, and
+    # gaussian_mv:100000 for 5e9 vech index pairs before any tensor call
+    @pytest.mark.parametrize("n,flags", [
+        ("9", ("--quad-nodes", "4")), ("100000", ()),
+        ("1000000000000000000", ())], ids=["9", "1e5", "1e18"])
+    def test_gaussian_mv_too_large_to_build_exit_2(self, capsys, monkeypatch,
+                                                   n, flags):
+        from weylprior import models
+        inner = models.vech_indices
+
+        def guarded(k):
+            assert k <= 7
+            return inner(k)
+
+        monkeypatch.setattr(models, "vech_indices", guarded)
+        code, out, err = run(capsys, "tensor", "--model", f"gaussian_mv:{n}",
+                             "--theta", "0", *flags)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].startswith(
+            f"gaussian_mv:{n}: {n} sample dimensions need at least 4^{n} ")
+
     def test_max_quad_nodes_works(self, capsys):
         code, out, _ = run(capsys, "tensor", "--model", "gaussian1d",
                            "--theta", "0,1", "--quad-nodes", "370")
@@ -232,6 +276,26 @@ class TestCheck:
 
 
 class TestPrior:
+    def test_grid_too_large_to_hold_exit_2(self, capsys, monkeypatch, tmp_path):
+        # 1e11 rates would take 745 GiB for the axis values alone
+        from weylprior import priors
+        inner = priors.Axis.values
+
+        def guarded(axis):
+            assert axis.count <= 10 ** 6
+            return inner(axis)
+
+        monkeypatch.setattr(priors.Axis, "values", guarded)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "prior", "--model", "poisson", "--kind",
+                             "jeffreys", "--grid", "lam=0.5:8:100000000000",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            "grid axis counts [100000000000] give 100000000000 points; at most "
+            "447392 for 1 axis(es)")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("kind", [("weyl",), ("alpha", "--alpha", "1")],
                              ids=["weyl", "alpha"])
     def test_potential_of_a_family_that_is_not_closed(self, capsys, monkeypatch,
@@ -479,6 +543,53 @@ class TestVerifyAll:
         assert lines[0]["theta"] == first.tolist()
 
 
+    def test_suite_order_and_check_names(self, capsys):
+        # the output order of verify-all's per-point checks is part of its
+        # format, and ``check --what`` runs each of them alone
+        code, out, _ = run(capsys, "verify-all", "--model", "bernoulli")
+        assert code == 0
+        labels = [json.loads(line)["check"] for line in out.splitlines()[:-1]]
+        want = (["closedness", "weyl-compat", "trace-identity", "gauge"]
+                + [f"{what}(alpha={alpha})" for alpha in (-2.0, 0.0, 1.0)
+                   for what in ("duality", "nabla-g")]
+                + [f"ricci-symmetry(alpha={alpha})"
+                   for alpha in (-2.0, 0.0, 1.0, 2.0)])
+        assert labels == want * len(_test_points(get_model("bernoulli")))
+        assert [label for label, _, _ in cli.SUITE] == want
+        for what in dict.fromkeys(what for _, what, _ in cli.SUITE):
+            code, out, _ = run(capsys, "check", "--model", "gaussian1d",
+                               "--what", what, "--theta", "0.5,1.5")
+            assert code == 0 and json.loads(out)["check"] == what
+
+    # verify-all writes no file, so it takes no --out; prior and posterior
+    # write one, so they need it
+    @pytest.mark.parametrize("argv", [
+        ["verify-all", "--model", "bernoulli", "--out", "x.json"],
+        ["prior", "--model", "gaussian1d", "--kind", "jeffreys",
+         "--grid", "mu=-1:1:3,s2=0.5:2:3"],
+        ["posterior", "--model", "gaussian1d", "--grid", "mu=-1:1:3,s2=0.5:2:3",
+         "--demo-n", "5", "--seed", "1"],
+    ], ids=["verify-all", "prior", "posterior"])
+    def test_out_only_where_a_file_is_written(self, capsys, monkeypatch,
+                                              tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["", "missing/x.csv"], ids=["empty", "no-dir"])
+    def test_out_that_cannot_be_opened_exit_2(self, capsys, monkeypatch,
+                                              tmp_path, out):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "prior", "--model", "gaussian1d",
+                                "--kind", "jeffreys", "--grid",
+                                "mu=-1:1:3,s2=0.5:2:3", "--out", out)
+        assert code == 2 and stdout == ""
+        assert "No such file or directory" in json.loads(err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # the CLI contract for bad numeric input: exit 2, one JSON error object on
 # stderr, nothing on stdout
@@ -590,6 +701,17 @@ class TestBadInputContract:
         assert out.getvalue() == ""
         assert json.loads(err.getvalue())["error"] == (
             f"non-finite Fisher metric at theta=[{float(eta)}]")
+
+    @pytest.mark.parametrize("eta", ["-707", "-745"])
+    def test_closedness_names_the_point_asked_for(self, capsys, eta):
+        # closedness differences the 1-form on theta's stencil and never
+        # evaluates theta itself, so a stencil point's metric fails first
+        code, out, err = run(capsys, "check", "--model", "poisson", "--chart",
+                             "natural", "--what", "closedness", f"--theta={eta}")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].startswith(
+            f"the Weyl 1-form at theta=[{float(eta)}] cannot be differenced: "
+            f"non-finite Fisher metric at theta=[")
 
     @pytest.mark.parametrize("eta", ["-355", "-700", "-709.78"])
     def test_bernoulli_natural_parameter_with_a_tiny_slope(self, capsys, eta):

@@ -1,6 +1,7 @@
 """Model registry: charts, densities, scores, normalization."""
 
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -57,6 +58,16 @@ class TestRegistry:
     def test_bad_config(self):
         with pytest.raises(InvalidConfigError):
             get_model("gaussian_mv", n=0)
+
+    def test_mv_dimension_bound(self):
+        # 4^7 nodes per point of gaussian_mv:7 (m = 35) keep one point's
+        # score products within numerics.MAX_STEP_DOUBLES; 4^8 of
+        # gaussian_mv:8 (m = 44) do not, and no rule under 4 nodes is exact
+        assert get_model("gaussian_mv", n=7).dim == 35
+        with pytest.raises(InvalidConfigError, match=re.escape(
+                "gaussian_mv:8: 8 sample dimensions need at least 4^8 nodes "
+                "per point; at most 17331 at dimension 44")):
+            get_model("gaussian_mv", n=8)
 
     def test_colon_syntax(self):
         assert get_model("gaussian_mv:3").dim == 9

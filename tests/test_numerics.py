@@ -205,6 +205,32 @@ class TestContinuousRule:
         assert grids == []
 
 
+    def test_score_products_bound_the_nodes(self, monkeypatch):
+        # 21^4 nodes per point on gaussian_mv:4 (m = 14) pass MAX_GRID_NODES,
+        # but one point's score products, 21^4 * 14^2 doubles, pass
+        # MAX_STEP_DOUBLES; gaussian_mv:3 keeps 64 nodes per dimension
+        mv4 = get_model("gaussian_mv", n=4)
+        assert numerics.max_nodes_per_point(14) == 2 ** 25 // 14 ** 2 == 171196
+        grids = []
+        inner = numerics._node_grid
+
+        def recorded(k, dim):
+            grids.append((k, dim))
+            return inner(k, dim)
+
+        monkeypatch.setattr(numerics, "_node_grid", recorded)
+        with pytest.raises(DomainError, match=re.escape(
+                "a 21-node rule of model 'gaussian_mv:4' needs 194481 nodes "
+                "per point; at most 171196 at dimension 14")):
+            fisher_metric(mv4, vech_theta(np.zeros(4), np.eye(4)),
+                          quad=QuadratureSpec(21))
+        assert grids == []
+        empty = np.empty((0, 14))
+        assert nodes_per_point(mv4, empty, QuadratureSpec(20)) == 20 ** 4
+        mv3 = get_model("gaussian_mv", n=3)
+        assert nodes_per_point(mv3, np.empty((0, 9)), QuadratureSpec(64)) == 64 ** 3
+
+
 class TestFiniteDifferences:
     def test_polynomial_derivative(self):
         # Richardson-extrapolated central differences are 4th order

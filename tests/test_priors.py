@@ -49,6 +49,21 @@ class TestGrid:
         g = small_grid()
         assert g.cell_volumes().sum() == pytest.approx(2.0 * 1.5, abs=1e-12)
 
+    # 15 Kronrod nodes per point in the Weyl sweep's first level, each
+    # holding 2 m^2 + 3 m doubles, within numerics.MAX_STEP_DOUBLES (2^25)
+    @pytest.mark.parametrize("fits,refused,limit", [
+        ((447392,), (447393,), 447392), ((399, 400), (400, 400), 159783)])
+    def test_point_count_bound(self, fits, refused, limit):
+        def grid(counts):
+            return GridSpec(tuple(Axis(f"a{i}", 1.0, 2.0, c)
+                                  for i, c in enumerate(counts)))
+
+        assert grid(fits).shape == fits
+        with pytest.raises(GridError, match=re.escape(
+                f"grid axis counts {list(refused)} give {np.prod(refused)} "
+                f"points; at most {limit} for {len(refused)} axis(es)")):
+            grid(refused)
+
     def test_log_spacing(self):
         vals = Axis("s", 0.5, 8.0, 5, spacing="log").values()
         np.testing.assert_allclose(vals[1:] / vals[:-1], 2.0, rtol=1e-12)
@@ -268,6 +283,43 @@ class TestTheoremRatio:
         assert theorem_ratio_check(bern, gb, anchor=[0.5])["max_rel_deviation"] < 1e-10
         gp = GridSpec((Axis("lam", 0.5, 5.0, 7),))
         assert theorem_ratio_check(pois, gp, anchor=[1.0])["max_rel_deviation"] < 1e-10
+
+
+class TestDiscreteWeylClosedForms:
+    """The discrete Weyl priors against their closed forms.  With m = 1 the
+    prior is exp(Omega / 2) sqrt(g): Bernoulli's g = 1/(p (1 - p)) and
+    phi = (1 - 2p) / (2 p (1 - p)) give (p (1 - p))^(-1/4), Beta(3/4, 3/4),
+    and Poisson's g = 1/lam and phi = 1/(2 lam) give lam^(-1/4).  The
+    departure is the largest relative distance of the ratio field / closed
+    form from its mean; each bound is 100 times the departure measured when
+    the test was written."""
+
+    @staticmethod
+    def departure(values, closed_form):
+        ratio = values / closed_form
+        return np.max(np.abs(ratio - ratio.mean())) / ratio.mean()
+
+    def test_bernoulli(self, bern):
+        field = weyl_prior_field(bern, GridSpec((Axis("p", 0.01, 0.99, 9),)),
+                                 anchor=[0.5])
+        p = field.points[:, 0]
+        # measured 3.1e-16
+        assert self.departure(field.values, (p * (1.0 - p)) ** -0.25) < 3.1e-14
+
+    def test_poisson(self, pois):
+        field = weyl_prior_field(pois, GridSpec((Axis("lam", 0.1, 50.0, 9, "log"),)),
+                                 anchor=[1.0])
+        lam = field.points[:, 0]
+        # measured 1.6e-15
+        assert self.departure(field.values, lam ** -0.25) < 1.6e-13
+
+    def test_bernoulli_natural_chart(self, bern):
+        # a density in eta = logit p carries the Jacobian dp/deta = p (1 - p)
+        grid = GridSpec((Axis("eta", -4.0, 4.0, 9),), chart="natural")
+        field = weyl_prior_field(bern, grid, anchor=[0.0])
+        p = 1.0 / (1.0 + np.exp(-field.points[:, 0]))
+        # measured 3.3e-15
+        assert self.departure(field.values, (p * (1.0 - p)) ** 0.75) < 3.3e-13
 
 
 class TestReparam:
