@@ -184,10 +184,7 @@ def _jeffreys(model, points, chart, quad):
     """sqrt(det g) at each of ``points`` (N, m), interior to the chart."""
     # one-row calls: one stacked call makes perfbench's jeffreys-posterior-poisson
     # round shorter than its host-speed sampling interval, which fails the
-    # run (ROADMAP item 0).  For the same reason the Poisson posterior must
-    # not be shortened either until item 0 lands: a sufficient-statistics
-    # posterior cut its GIL-held stretch from about 25 ms to 3 ms, and both
-    # of its Poisson runs failed
+    # run (ROADMAP item 0)
     return np.array([sqrt_det_metric(fisher_metric(model, t, chart, quad))
                      for t in points])
 
@@ -241,17 +238,17 @@ def normalize_field(field: PriorField):
     return replace(field, values=field.values / mass)
 
 
-def theorem_ratio_check(model, grid, anchor, quad=None, alpha=None):
-    """Pointwise ratio of the Weyl prior to the alpha-parallel prior.
+def theorem_ratio_check(model, grid, anchor, quad=None):
+    """Pointwise ratio of the Weyl prior to the alpha-parallel prior at
+    alpha = -m.
 
     Both fields are exp(k Omega) sqrt(det g), with k from
     ``_omega_exponent``, built from one grid sweep for Omega and one
-    Jeffreys pass, so at the default alpha = -m the returned deviation (the
-    max relative departure of the ratio from its grid mean) is exactly 0
-    whatever Omega is: it compares the exponents, not the paper's theorem.
+    Jeffreys pass, so the returned deviation (the max relative departure of
+    the ratio from its grid mean) is exactly 0 whatever Omega is: it
+    compares the exponents, not the paper's theorem.
     """
-    if alpha is None:
-        alpha = -float(model.dim)
+    alpha = -float(model.dim)
     exponents = {kind: _omega_exponent(model, kind, alpha, anchor)
                  for kind in ("weyl", "alpha")}
     pts = _chart_points(model, grid.points(), grid.chart)

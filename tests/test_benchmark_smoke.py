@@ -4,9 +4,10 @@ perfbench/run.py imports the program from src/ and calls it through a fixed
 set of names (see perfbench/workloads.py and perfbench/tracer.py); a renamed
 function, a changed signature or a result that a tracer hook cannot read
 shows up here as a failed run rather than only when the benchmark is next
-measured.  Every workload runs once, traced, and the two with the shortest
-rounds also run untraced through the host-speed-scaled rounds that give the
-end-to-end metrics.
+measured.  Every workload runs once, traced.  Three also run untraced through
+the host-speed-scaled rounds that give the end-to-end metrics: the Poisson
+posterior, whose round the program keeps long on purpose, and two of the
+workloads with the shortest rounds, identity-suite and weyl-posterior-g1.
 """
 
 import json
@@ -48,6 +49,11 @@ def test_untraced_poisson_posterior_rounds_are_correct():
 def test_untraced_identity_suite_rounds_are_correct():
     # a round shorter than the host-speed sampling interval fails this run
     bench_run("identity-suite", 1, 0)
+
+
+def test_untraced_weyl_posterior_rounds_are_correct():
+    # a round shorter than the host-speed sampling interval fails this run
+    bench_run("weyl-posterior-g1", 1, 0)
 
 
 @pytest.mark.parametrize("workload", ["weyl-posterior-g1", "weyl-field-mv2",
