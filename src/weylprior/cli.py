@@ -138,23 +138,25 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
-def _prior_field(model, args, kind, normalize=False):
+def _prior_field(model, args, kind):
     """The ``kind`` prior field over ``--grid``, from the prior flags."""
     grid = _parse_grid(args.grid, args.chart)
     anchor = _parse_theta(args.anchor) if args.anchor else None
     quad = _quad(args, model)
     alpha = _alpha(args)
     if kind == "jeffreys":
-        return priors.jeffreys_field(model, grid, quad, normalize=normalize)
+        return priors.jeffreys_field(model, grid, quad)
     if kind == "alpha":
-        return priors.alpha_prior_field(model, grid, alpha, anchor, quad,
-                                        normalize=normalize)
-    return priors.weyl_prior_field(model, grid, anchor, quad, normalize=normalize)
+        return priors.alpha_prior_field(model, grid, alpha, anchor, quad)
+    return priors.weyl_prior_field(model, grid, anchor, quad)
 
 
 def cmd_prior(args):
     model = get_model(args.model)
-    priors.write_csv(_prior_field(model, args, args.kind, args.normalize), args.out)
+    field = _prior_field(model, args, args.kind)
+    if args.normalize:
+        field = priors.normalize_field(field)
+    priors.write_csv(field, args.out)
     return 0
 
 
@@ -178,7 +180,8 @@ def cmd_posterior(args):
     if args.prior_file:
         names, pts, values = priors.read_csv(args.prior_file)
         grid = _parse_grid(args.grid, args.chart)
-        if not np.allclose(grid.points(), pts):
+        grid_pts = grid.points()
+        if grid_pts.shape != pts.shape or not np.allclose(grid_pts, pts):
             raise WeylPriorError("--grid does not match the points in --prior-file")
         field = priors.PriorField(pts, values, "loaded",
                                   args.chart or model.reference, grid=grid)

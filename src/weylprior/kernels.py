@@ -14,8 +14,9 @@ call per point.  With A = g^-1, t is the trace C_ijk g^jk of the cubic
 tensor, taken node by node from the quadratic forms s^T g^-1 s (one
 (q, m) @ (m, m) product, an elementwise product and its row sums as a
 (q, m) @ (m,) product) and one (1, q) @ (q, m) product, so it costs about
-2 q m^2 per point against q m^3 for T.  G and T are symmetrised so that
-every permutation of an index tuple holds the same bit pattern.  A point's
+2 q m^2 per point against q m^3 for T.  G is symmetrised as (G + G^T) / 2,
+and T takes every slot from the slot of its sorted index triple, so every
+permutation of an index tuple holds the same bit pattern.  A point's
 result does not depend on the other points of its stack; it does depend on
 q, so a stack's points share one node count (discrete supports are not
 padded, see ``numerics.sample_nodes``).  Results are C-ordered.
@@ -42,18 +43,11 @@ def pair_contract_stack(w, s):
 
 
 @lru_cache(maxsize=16)
-def _mirror_indices(m):
-    """Flat indices of the six permutations (i,j,k), (i,k,j), (j,i,k), (j,k,i),
-    (k,i,j), (k,j,i) of every sorted triple i <= j <= k, shape (6, T), and
-    for every slot of an (m, m, m) array the position of its sorted triple."""
-    tri = [(i, j, k) for i in range(m) for j in range(i, m) for k in range(j, m)]
-    perms = np.array([[a * m * m + b * m + c
-                       for a, b, c in ((i, j, k), (i, k, j), (j, i, k),
-                                       (j, k, i), (k, i, j), (k, j, i))]
-                      for i, j, k in tri]).T
-    slot = np.empty(m ** 3, dtype=np.intp)
-    slot[perms] = np.arange(len(tri))
-    return perms, slot
+def _sorted_slot(m):
+    """For every slot (a, b, c) of an (m, m, m) array, the flat index of the
+    slot of its sorted triple i <= j <= k."""
+    abc = np.sort(np.indices((m, m, m)).reshape(3, -1), axis=0)
+    return (abc[0] * m + abc[1]) * m + abc[2]
 
 
 def triple_contract_stack(w, s):
@@ -61,15 +55,8 @@ def triple_contract_stack(w, s):
     p, q, m = s.shape
     ss = (s[..., :, None] * s[..., None, :]).reshape(p, q, m * m)
     t = np.swapaxes(w[..., None] * s, 1, 2) @ ss              # (P, m, m*m)
-    perms, slot = _mirror_indices(m)
-    # average the six slots of each sorted triple, summed in a fixed order, and
-    # mirror the mean back, so the six symmetric slots hold the same bit pattern
-    a = np.take(t.reshape(p, -1), perms, axis=1)
-    v = a[:, 0] + a[:, 1]
-    for k in range(2, 6):
-        v += a[:, k]
-    v /= 6.0
-    return np.take(v, slot, axis=1).reshape(p, m, m, m)
+    # every permutation of an index triple reads its sorted triple's slot
+    return np.take(t.reshape(p, -1), _sorted_slot(m), axis=1).reshape(p, m, m, m)
 
 
 def trace_contract_stack(w, s, a):

@@ -339,8 +339,6 @@ def _gaussian_mv(n):
     def contains(t, margin):
         _, sig = split(t)
         shifted = sig - margin * np.eye(n)
-        if sig.ndim == 2:
-            return is_spd(shifted)
         # one factorisation for the stack; per point only when it fails
         if is_spd(shifted):
             return np.ones(len(sig), dtype=bool)

@@ -201,8 +201,7 @@ def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
     return np.exp(exponent * omega) * _jeffreys(model, points, chart, quad)
 
 
-def _build(model, grid: GridSpec, kind, alpha=None, anchor=None, quad=None,
-           normalize=False):
+def _build(model, grid: GridSpec, kind, alpha=None, anchor=None, quad=None):
     exponent = _omega_exponent(model, kind, alpha, anchor)
     pts = _chart_points(model, grid.points(), grid.chart)
     if exponent is None:
@@ -210,25 +209,22 @@ def _build(model, grid: GridSpec, kind, alpha=None, anchor=None, quad=None,
     else:
         omega = _grid_omega(model, grid, pts, anchor, quad)
         values = np.exp(exponent * omega) * _jeffreys(model, pts, grid.chart, quad)
-    field = PriorField(pts, values, kind, grid.chart or model.reference, grid)
-    return normalize_field(field) if normalize else field
+    return PriorField(pts, values, kind, grid.chart or model.reference, grid)
 
 
-def jeffreys_field(model, grid, quad=None, normalize=False):
+def jeffreys_field(model, grid, quad=None):
     """sqrt(det g) over the grid."""
-    return _build(model, grid, "jeffreys", quad=quad, normalize=normalize)
+    return _build(model, grid, "jeffreys", quad=quad)
 
 
-def alpha_prior_field(model, grid, alpha, anchor, quad=None, normalize=False):
+def alpha_prior_field(model, grid, alpha, anchor, quad=None):
     """exp(-alpha/2 Omega) sqrt(det g); reduces to Jeffreys at alpha = 0."""
-    return _build(model, grid, "alpha", alpha=alpha, anchor=anchor, quad=quad,
-                  normalize=normalize)
+    return _build(model, grid, "alpha", alpha=alpha, anchor=anchor, quad=quad)
 
 
-def weyl_prior_field(model, grid, anchor, quad=None, normalize=False):
+def weyl_prior_field(model, grid, anchor, quad=None):
     """exp(m/2 Omega) sqrt(det g), m the manifold dimension."""
-    return _build(model, grid, "weyl", anchor=anchor, quad=quad,
-                  normalize=normalize)
+    return _build(model, grid, "weyl", anchor=anchor, quad=quad)
 
 
 def normalize_field(field: PriorField):

@@ -14,13 +14,14 @@ C.  All are batched matrix products in a few NumPy calls.  The kernels
 return exactly symmetric arrays, which are checked here over the whole
 stack (metric finite and positive-definite, cubic tensor or trace finite);
 a failed check names the first offending point in stack order.  A chunk
-whose metric does not factor gets NaN factors and a NaN trace, and the
-stack's SPD check names its point.  Each metric is factored once; the
-factor is kept, and g^-1 and sqrt(det g) are taken from it.  Chart-native
-tensors are obtained by pushing the reference-chart scores through the
-chart Jacobian before contraction, so no separate transformation step is
-needed.  A single point is evaluated as a one-row stack, so its values are
-bitwise those it gets in any stack.
+whose metrics do not all factor is factored one metric at a time, so only
+the metrics that do not factor get NaN factors (and a NaN trace), and the
+stack's SPD check names the first of them.  A metric's factor is kept, and
+g^-1 and sqrt(det g) are taken from it.  Chart-native tensors are obtained
+by pushing the reference-chart scores through the chart Jacobian before
+contraction, so no separate transformation step is needed.  A single point
+is evaluated as a one-row stack, so its values are bitwise those it gets in
+any stack.
 """
 
 from dataclasses import dataclass
@@ -60,36 +61,32 @@ def _name(thetas, ok):
 
 
 def _factor(g):
-    """Cholesky factors of one chunk's metrics (P, m, m); all NaN if one of
-    them does not factor (``_require_spd`` then names it)."""
+    """Cholesky factors of one chunk's metrics (P, m, m); a chunk that does
+    not factor is factored one metric at a time, and a metric that does not
+    factor gets NaN (``_require_spd`` then names it)."""
     try:
         return np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        return np.full(g.shape, np.nan)
+        if len(g) == 1:
+            return np.full(g.shape, np.nan)
+        return np.concatenate([_factor(g[k:k + 1]) for k in range(len(g))])
 
 
 def _require_spd(g, chol, thetas):
     """NotSPDError naming the first point whose metric is non-finite or not
-    positive-definite, if there is one; ``chol`` holds the chunks' factors,
-    NaN for a chunk that did not factor."""
-    # a non-finite entry of g either fails its chunk's factorisation or
-    # reaches the factor (which reads the lower triangle, and the kernels
-    # mirror g exactly), so finite factors vouch for g too
+    positive-definite, if there is one; ``chol`` holds the metrics' factors,
+    NaN for a metric that did not factor."""
+    # a non-finite entry of g either fails its factorisation or reaches the
+    # factor (which reads the lower triangle, and the kernels mirror g
+    # exactly), so finite factors vouch for g too
     if np.isfinite(chol).all():
         return
-    finite = np.isfinite(g).all(axis=(1, 2))
-    if not finite.all():
-        raise NotSPDError(f"non-finite Fisher metric at theta={_name(thetas, finite)}")
     factored = np.isfinite(chol).all(axis=(1, 2))
-    spd = np.ones(len(g), dtype=bool)
-    for k in np.flatnonzero(~factored):
-        try:
-            np.linalg.cholesky(g[k])
-        except np.linalg.LinAlgError:
-            spd[k] = False
-            break
+    theta = _name(thetas, factored)
+    if not np.isfinite(g[np.argmin(factored)]).all():
+        raise NotSPDError(f"non-finite Fisher metric at theta={theta}")
     raise NotSPDError(
-        f"Fisher metric is not positive-definite at theta={_name(thetas, spd)} "
+        f"Fisher metric is not positive-definite at theta={theta} "
         f"(quadrature or domain misconfiguration)")
 
 

@@ -169,6 +169,27 @@ class TestPosterior:
             with pytest.raises(DataError, match=r"row 2: observation 1e\+200 "):
                 grid_posterior(g1, prior, Dataset(np.array([0.5, 1e200, -1e200, 1e200])))
 
+    def test_overflowing_sum_names_no_observation(self, g1):
+        # each draw's log-density is finite, but 1000 of them sum to -inf at
+        # every grid point, so no observation is to blame
+        grid = GridSpec((Axis("mu", -1.0, 1.0, 3), Axis("sigma2", 0.5, 2.0, 3)))
+        prior = jeffreys_field(g1, grid)
+        assert all(np.isfinite(g1.log_density(np.array([1e153]), t)).all()
+                   for t in prior.points)
+        with pytest.raises(DataError) as exc:
+            grid_posterior(g1, prior, Dataset(np.full(1000, 1e153)))
+        assert str(exc.value) == "data has vanishing likelihood at every grid point"
+
+    def test_one_point_axis(self, g1, obs_1000):
+        # the one-point axis gets cell width 1, so the masses are the
+        # posterior density times the other axis' trapezoidal widths
+        grid = GridSpec((Axis("mu", -2.0, 2.0, 9), Axis("sigma2", 2.0, 2.0, 1)))
+        post = grid_posterior(g1, jeffreys_field(g1, grid), Dataset(obs_1000))
+        widths = np.array([0.25] + [0.5] * 7 + [0.25])
+        np.testing.assert_array_equal(post.masses,
+                                      np.exp(post.log_values + np.log(widths)))
+        assert post.masses.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_requires_grid_backed_prior(self, g1, obs_1000):
         prior = jeffreys_field(g1, g1_grid((5, 5)))
         loose = PriorField(prior.points, prior.values, prior.kind, prior.chart)

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylprior import cli, get_model
+from weylprior import (Axis, GridSpec, cli, get_model, normalize_field,
+                       weyl_prior_field)
 from weylprior.cli import _test_points, main
 from weylprior.priors import read_csv
 
@@ -37,6 +38,14 @@ class TestTensor:
                                    atol=1e-12)
         assert payload["C"][1][1][1] == pytest.approx(1.0, abs=1e-10)
         assert payload["chart"] == "mu_sigma2"
+
+    def test_unknown_chart_exit_2(self, capsys):
+        code, out, err = run(capsys, "tensor", "--model", "gaussian1d",
+                             "--chart", "foo", "--theta", "0,1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            "model 'gaussian1d' has no chart 'foo'; available: "
+            "['mu_sigma', 'mu_sigma2', 'natural']")
 
     def test_chart_named_in_payload(self, capsys):
         code, out, _ = run(capsys, "tensor", "--model", "gaussian1d",
@@ -321,6 +330,22 @@ class TestPrior:
         assert pts.shape == (9, 2)
         np.testing.assert_allclose(vals, 1.0 / np.sqrt(2.0), rtol=1e-8)
 
+    def test_normalize(self, capsys, tmp_path):
+        out_path = tmp_path / "weyl.csv"
+        code, _, _ = run(capsys, "prior", "--model", "gaussian1d",
+                         "--kind", "weyl", "--anchor", "0,1", "--normalize",
+                         "--grid", "mu=-2:2:11,s2=0.25:16:11:log",
+                         "--out", str(out_path))
+        assert code == 0
+        _, pts, vals = read_csv(out_path)
+        grid = GridSpec((Axis("mu", -2.0, 2.0, 11),
+                         Axis("s2", 0.25, 16.0, 11, "log")))
+        assert vals @ grid.cell_volumes() == pytest.approx(1.0, abs=1e-12)
+        field = normalize_field(weyl_prior_field(get_model("gaussian1d"), grid,
+                                                 np.array([0.0, 1.0])))
+        assert pts.tolist() == field.points.tolist()
+        assert vals.tolist() == field.values.tolist()
+
     def test_determinism_byte_identical(self, capsys, tmp_path):
         args = ("prior", "--model", "gaussian1d", "--kind", "jeffreys",
                 "--grid", "mu=-1:1:3,s2=0.5:2:3")
@@ -365,11 +390,13 @@ class TestPrior:
         assert vals.tolist() == [1.0 / np.sqrt(2.0)]
 
     def test_bad_grid_syntax(self, capsys, tmp_path):
-        code, _, err = run(capsys, "prior", "--model", "gaussian1d",
-                           "--kind", "jeffreys", "--grid", "mu=-1:1",
-                           "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert "grid axis" in json.loads(err)["error"]
+        for axis in ("mu=-1:1", "mu", "mu=-1:1:x"):
+            code, _, err = run(capsys, "prior", "--model", "gaussian1d",
+                               "--kind", "jeffreys", "--grid", axis + ",s2=0.5:2:3",
+                               "--out", str(tmp_path / "x.csv"))
+            assert code == 2
+            assert f"bad grid axis {axis!r}" in json.loads(err)["error"]
+            assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_grid_spacing(self, capsys, tmp_path):
         code, _, err = run(capsys, "prior", "--model", "gaussian1d",
@@ -470,6 +497,23 @@ class TestPosterior:
         run(capsys, "posterior", *common, "--prior-file", str(prior_path),
             "--grid", self.GRID, "--out", str(via_file))
         assert direct.read_bytes() == via_file.read_bytes()
+
+    @pytest.mark.parametrize("grid", ["mu=-1:1:9,s2=0.25:4:9",
+                                      "mu=-2:2:8,s2=0.25:4:9", "mu=-2:2:9"],
+                             ids=["other-values", "other-count", "other-dimension"])
+    def test_prior_file_grid_mismatch_exit_2(self, capsys, tmp_path, grid):
+        prior_path = tmp_path / "prior.csv"
+        run(capsys, "prior", "--model", "gaussian1d", "--kind", "jeffreys",
+            "--grid", self.GRID, "--out", str(prior_path))
+        out_path = tmp_path / "post.csv"
+        code, out, err = run(capsys, "posterior", "--model", "gaussian1d",
+                             "--demo-n", "10", "--seed", "1",
+                             "--prior-file", str(prior_path), "--grid", grid,
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            "--grid does not match the points in --prior-file")
+        assert not out_path.exists()
 
     def test_data_file(self, capsys, tmp_path):
         data = tmp_path / "obs.csv"

@@ -111,6 +111,14 @@ class TestFields:
         with pytest.raises(GridError, match="anchor"):
             prior_values(g1, [[0.0, 2.0]], "weyl", anchor=[1.0])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_values_must_be_positive_and_finite(self, g1, bad):
+        field = jeffreys_field(g1, small_grid())
+        values = field.values.copy()
+        values[3] = bad
+        with pytest.raises(GridError, match="strictly positive and finite"):
+            PriorField(field.points, values, "loaded", field.chart, field.grid)
+
     def test_normalize(self, g1):
         field = normalize_field(jeffreys_field(g1, small_grid()))
         mass = field.values @ field.grid.cell_volumes()

@@ -340,3 +340,17 @@ class TestStackErrors:
         with pytest.raises(NotSPDError, match=r"not positive-definite at "
                                               r"theta=\[0\.0, 3\.0\]"):
             metric_and_cubic(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
+
+    def test_indefinite_metric_named_before_a_later_non_finite_one(self, g1, monkeypatch):
+        # metric 0 is finite but indefinite, metric 2 holds a NaN: the first
+        # failing point in stack order is named, with the message of its own fault
+        def indefinite_first_nan_last(w, s):
+            g = np.einsum("pn,pni,pnj->pij", w, s, s)
+            g[0] = [[1.0, 2.0], [2.0, 1.0]]
+            g[2, 1, 1] = np.nan
+            return g
+
+        monkeypatch.setattr(kernels, "pair_contract_stack", indefinite_first_nan_last)
+        with pytest.raises(NotSPDError, match=r"not positive-definite at "
+                                              r"theta=\[0\.0, 1\.0\]"):
+            fisher_metric(g1, [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]])
