@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DataError, GridError
 from .models import ModelSpec
-from .priors import PriorField
+from .priors import PriorField, parse_rows, table_lines
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,11 @@ class Dataset:
         obs = np.asarray(self.observations, dtype=float)
         if obs.size == 0:
             raise DataError(f"{self.source}: empty dataset")
-        if not np.all(np.isfinite(obs)):
-            raise DataError(f"{self.source}: non-finite observation")
+        rows = ~np.isfinite(obs).reshape(len(obs), -1).all(axis=1)
+        if rows.any():
+            k = int(np.argmax(rows))
+            raise DataError(f"{self.source}: row {k + 1}: observation "
+                            f"{obs[k].tolist()} is not finite")
         object.__setattr__(self, "observations", obs)
 
 
@@ -37,24 +40,9 @@ class PosteriorGrid:
 def load_observations(path, model: ModelSpec) -> Dataset:
     """Read one observation per CSV row (no header), d columns."""
     d = model.sample_space.dim
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
-            if len(tokens) != d:
-                raise DataError(
-                    f"{path}:{lineno}: expected {d} column(s) for model "
-                    f"{model.id!r}, got {len(tokens)}")
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+    obs = parse_rows(path, table_lines(path), d, f" for model {model.id!r}")
+    if len(obs) == 0:
         raise DataError(f"{path}: empty file")
-    obs = np.array(rows)
     return Dataset(obs[:, 0] if d == 1 else obs, source=str(path))
 
 

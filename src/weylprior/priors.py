@@ -5,7 +5,6 @@ defined up to one positive constant; the anchor fixes the representative
 through Omega(anchor) = 0.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -13,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .errors import GridError
+from .errors import DataError, GridError
 from .geometry import potential_omega
 from .models import ModelSpec
 from .numerics import KRONROD_NODES, MAX_STEP_DOUBLES, segment_integrals
@@ -279,27 +278,66 @@ def reparam_transform(field: PriorField, model: ModelSpec, target_chart):
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip (coordinate columns then "value"; repr formatting so floats
-# survive a decimal round trip)
+# Tables: a prior or posterior CSV is a header row of names, then one row per
+# grid point; a data file has no header.  Rows end in LF, and every float is
+# written as its repr, so it survives the decimal round trip.
+
+def write_table(path, names, table):
+    """Write the header row ``names``, then one row per row of ``table``."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
+
+
+def table_lines(path):
+    """The non-blank lines of the text file at ``path``, stripped, each with
+    its 1-based line number."""
+    with open(path) as fh:
+        return [(n, text) for n, text in enumerate(map(str.strip, fh), 1)
+                if text]
+
+
+def parse_rows(path, lines, width, what):
+    """The numbered ``lines`` of the table at ``path`` as an (N, width) array.
+
+    A row of another width, a cell that is not a number, or a value that is
+    not finite raises DataError naming ``path:line``; ``what`` ends the
+    wrong-width message.
+    """
+    rows = []
+    for n, text in lines:
+        cells = text.split(",")
+        if len(cells) != width:
+            raise DataError(f"{path}:{n}: expected {width} column(s){what}, "
+                            f"got {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise DataError(f"{path}:{n}: {exc}") from None
+    table = np.array(rows).reshape(len(rows), width)
+    bad = ~np.isfinite(table)
+    if bad.any():
+        k, j = np.unravel_index(np.argmax(bad), bad.shape)
+        n, text = lines[k]
+        raise DataError(f"{path}:{n}: {text.split(',')[j].strip()!r} is not "
+                        "a finite number")
+    return table
+
 
 def write_csv(field: PriorField, path):
     coord_names = (field.grid.names if field.grid is not None
                    else [f"x{i}" for i in range(field.points.shape[1])])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(coord_names + ["value"])
-        for pt, val in zip(field.points, field.values):
-            writer.writerow([repr(float(c)) for c in pt] + [repr(float(val))])
+    write_table(path, coord_names + ["value"],
+                np.column_stack([field.points, field.values]))
 
 
 def read_csv(path):
     """Returns (coord_names, points, values) from a prior CSV."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][-1] != "value":
+    lines = table_lines(path)
+    names = lines[0][1].split(",") if lines else []
+    if names[-1:] != ["value"]:
         raise GridError(f"{path}: expected a header row ending in 'value'")
-    names = rows[0][:-1]
-    data = np.array([[float(c) for c in row] for row in rows[1:]])
-    if data.size == 0:
+    table = parse_rows(path, lines[1:], len(names), "")
+    if len(table) == 0:
         raise GridError(f"{path}: no data rows")
-    return names, data[:, :-1], data[:, -1]
+    return names[:-1], table[:, :-1], table[:, -1]

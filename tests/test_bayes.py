@@ -81,6 +81,16 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("obs, message", [
+        ([1.0, 2.0, np.nan, np.inf], "src: row 3: observation nan is not finite"),
+        ([[0.0, 1.0], [-np.inf, 0.5]],
+         "src: row 2: observation [-inf, 0.5] is not finite"),
+    ], ids=["1d", "2d"])
+    def test_names_first_non_finite_row(self, obs, message):
+        with pytest.raises(DataError) as exc:
+            Dataset(np.array(obs), source="src")
+        assert str(exc.value) == message
+
     def test_load_csv(self, g1, tmp_path):
         p = tmp_path / "obs.csv"
         p.write_text("1.5\n-0.25\n\n3.0\n")

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from weylprior.cli import _test_points, main
 from weylprior.priors import read_csv
 
 from conftest import diagonal_gaussian
+from test_readme import cli_commands
 
 
 def run(capsys, *argv):
@@ -558,6 +561,172 @@ class TestPosterior:
         assert code == 2
         assert bad in json.loads(err)["error"]
         assert not out_path.exists()
+
+
+def _openblas_on_x86_64():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return ("openblas" in blas.get("name", "").lower()
+            and platform.machine().lower() in ("x86_64", "amd64"))
+
+
+class TestTables:
+    """The prior and posterior CSVs, and the tables ``posterior`` reads."""
+
+    GRID = "mu=-1:1:3,s2=0.5:2:3"
+    MV2_GRID = "mu0=0:0:1,mu1=0:0:1,s00=1:1:1,s01=0:0:1,s11=1:1:1"
+
+    def _prior(self, capsys, tmp_path):
+        path = tmp_path / "prior.csv"
+        code, _, _ = run(capsys, "prior", "--model", "gaussian1d", "--kind",
+                         "jeffreys", "--grid", self.GRID, "--out", str(path))
+        assert code == 0
+        return path
+
+    def test_rows_end_in_lf(self, capsys, tmp_path):
+        prior = self._prior(capsys, tmp_path)
+        post = tmp_path / "post.csv"
+        code, _, _ = run(capsys, "posterior", "--model", "gaussian1d",
+                         "--prior-file", str(prior), "--grid", self.GRID,
+                         "--demo-n", "10", "--seed", "1", "--out", str(post))
+        assert code == 0
+        for path, header in ((prior, b"mu,s2,value"),
+                             (post, b"mu,s2,log_density,mass")):
+            data = path.read_bytes()
+            assert b"\r" not in data
+            lines = data.split(b"\n")
+            assert lines[0] == header and lines[-1] == b""
+            assert len(lines) == 11
+
+    @pytest.mark.parametrize("grid, message", [
+        ("mu=-1:1:3,s2=0.5:2.00001:3",
+         "--grid does not match the points in --prior-file"),
+        ("a=-1:1:3,b=0.5:2:3",
+         "--grid axes ['a', 'b'] do not match the columns ['mu', 's2'] of "
+         "--prior-file"),
+    ], ids=["points-5e-6-apart", "other-names"])
+    def test_prior_file_must_match_exactly(self, capsys, tmp_path, grid,
+                                           message):
+        prior = self._prior(capsys, tmp_path)
+        out_path = tmp_path / "post.csv"
+        code, out, err = run(capsys, "posterior", "--model", "gaussian1d",
+                             "--prior-file", str(prior), "--grid", grid,
+                             "--demo-n", "10", "--seed", "1",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == message
+        assert not out_path.exists()
+
+    # each case turns line 3 of a table (its second row) into a bad row
+    MALFORMED = {
+        "abc": (lambda cells: ["abc"] + cells[1:],
+                "could not convert string to float: 'abc'"),
+        "short-row": (lambda cells: cells[:-1], "expected {width} column(s)"),
+        "nan": (lambda cells: cells[:-1] + ["nan"],
+                "'nan' is not a finite number"),
+        "1e400": (lambda cells: cells[:-1] + ["1e400"],
+                  "'1e400' is not a finite number"),
+    }
+
+    def _posterior(self, capsys, tmp_path, flag, path):
+        """Run ``posterior`` reading ``path`` as ``flag``."""
+        if flag == "--prior-file":
+            model = ("--model", "gaussian1d", "--grid", self.GRID,
+                     "--demo-n", "10", "--seed", "1")
+        else:
+            model = ("--model", "gaussian_mv:2", "--grid", self.MV2_GRID)
+        out_path = tmp_path / "post.csv"
+        return (*run(capsys, "posterior", *model, flag, str(path),
+                     "--out", str(out_path)), out_path)
+
+    def _table(self, capsys, tmp_path, flag):
+        """The lines of a valid table for ``flag``."""
+        if flag == "--prior-file":
+            return self._prior(capsys, tmp_path).read_text().splitlines()
+        return ["0.5,-0.25", "1.0,2.0", "-1.5,0.0"]
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    @pytest.mark.parametrize("flag", ["--prior-file", "--data"])
+    def test_malformed_row_exit_2(self, capsys, tmp_path, flag, case):
+        edit, message = self.MALFORMED[case]
+        lines = self._table(capsys, tmp_path, flag)
+        cells = lines[2].split(",")
+        lines[2] = ",".join(edit(cells))
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err, out_path = self._posterior(capsys, tmp_path, flag, path)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error.startswith(f"{path}:3: ")
+        assert message.format(width=len(cells)) in error
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--prior-file", "--data"])
+    def test_blank_lines_are_skipped(self, capsys, tmp_path, flag):
+        lines = self._table(capsys, tmp_path, flag)
+        clean, blank = tmp_path / "clean.csv", tmp_path / "blank.csv"
+        clean.write_text("\n".join(lines) + "\n")
+        blank.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:])
+                         + "\n\n\r\n")
+        outs = []
+        for path in (clean, blank):
+            code, _, err, out_path = self._posterior(capsys, tmp_path, flag,
+                                                     path)
+            assert code == 0, err
+            outs.append(out_path.read_bytes())
+        assert outs[0] == outs[1]
+
+    # under a valid header, a --prior-file reaches the row parser
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text=st.text(alphabet="0123456789,.-+eEnaif \n\r", max_size=40))
+    @pytest.mark.parametrize("flag, header", [
+        ("--data", ""), ("--prior-file", ""),
+        ("--prior-file", "mu,s2,value\n")], ids=["data", "prior", "prior-rows"])
+    def test_arbitrary_table_exit_0_or_2(self, flag, header, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out_path = Path(tmp, "table.csv"), Path(tmp, "post.csv")
+            path.write_bytes((header + text).encode())
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["posterior", "--model", "gaussian1d",
+                             "--grid", self.GRID, "--demo-n", "5", "--seed", "1",
+                             flag, str(path), "--out", str(out_path)])
+            assert code in (0, 2)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and "error" in json.loads(lines[0])
+                assert not out_path.exists()
+
+    @pytest.mark.skipif(not _openblas_on_x86_64(),
+                        reason="OPENBLAS_CORETYPE selects an OpenBLAS kernel "
+                               "on x86-64 only")
+    def test_readme_outputs_agree_across_blas_kernels(self, tmp_path):
+        # byte identity holds for one NumPy/BLAS build on one kernel; on
+        # another kernel the sums round differently.  Measured against the
+        # Prescott kernel: prior values 1.6e-15 and posterior log-densities
+        # 7.8e-14 apart (relative), masses 1.3e-17 apart (absolute)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        tables = {}
+        for coretype in (None, "Prescott"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            for argv in cli_commands():
+                if argv[0] not in ("prior", "posterior"):
+                    continue
+                k = argv.index("--out") + 1
+                argv[k] = str(tmp_path / f"{coretype}-{argv[k]}")
+                proc = subprocess.run([sys.executable, "-m", "weylprior.cli",
+                                       *argv], env=env, capture_output=True,
+                                      timeout=120)
+                assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+                tables[coretype, argv[0]] = np.loadtxt(argv[k], delimiter=",",
+                                                       skiprows=1)
+        for command in ("prior", "posterior"):
+            np.testing.assert_allclose(tables["Prescott", command],
+                                       tables[None, command],
+                                       rtol=1e-12, atol=1e-15)
 
 
 class TestVerifyAll:
