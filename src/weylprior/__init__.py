@@ -19,12 +19,14 @@ from .geometry import (
     weyl_one_form,
 )
 from .priors import (
+    KINDS,
     Axis,
     GridSpec,
     PriorField,
     alpha_prior_field,
     jeffreys_field,
     normalize_field,
+    prior_field,
     prior_values,
     reparam_transform,
     theorem_ratio_check,

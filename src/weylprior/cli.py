@@ -18,7 +18,7 @@ import numpy as np
 from . import bayes, geometry, priors
 from .errors import DomainError, InvalidConfigError, WeylPriorError
 from .models import get_model, vech_from_mat
-from .numerics import DiffSpec, QuadratureSpec, nodes_per_point
+from .numerics import MAX_STEP_DOUBLES, DiffSpec, QuadratureSpec, nodes_per_point
 from .tensors import metric_and_cubic
 
 # every identity residual and the Weyl field's spread and chart covariance
@@ -138,17 +138,22 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
+def _require_chart_axes(model, grid):
+    """Refuse one axis per chart coordinate named otherwise: a table's
+    header then names its chart."""
+    chart = model.chart(grid.chart)
+    if len(grid.names) == chart.dim and grid.names != chart.coords:
+        raise WeylPriorError(f"--grid axes {grid.names} are not the coordinates "
+                             f"{chart.coords} of chart {chart.name!r}")
+
+
 def _prior_field(model, args, kind):
     """The ``kind`` prior field over ``--grid``, from the prior flags."""
     grid = _parse_grid(args.grid, args.chart)
+    _require_chart_axes(model, grid)
     anchor = _parse_theta(args.anchor) if args.anchor else None
     quad = _quad(args, model)
-    alpha = _alpha(args)
-    if kind == "jeffreys":
-        return priors.jeffreys_field(model, grid, quad)
-    if kind == "alpha":
-        return priors.alpha_prior_field(model, grid, alpha, anchor, quad)
-    return priors.weyl_prior_field(model, grid, anchor, quad)
+    return priors.prior_field(model, grid, kind, _alpha(args), anchor, quad)
 
 
 def cmd_prior(args):
@@ -161,15 +166,17 @@ def cmd_prior(args):
 
 
 def _demo_observations(model, theta, n, seed):
-    if model.id != "gaussian1d":
-        raise WeylPriorError("demo data generation is implemented for gaussian1d")
+    if model.standardize is None:
+        raise InvalidConfigError(f"--demo-n: model {model.id!r} has no law to draw from")
     try:
         model.require_interior(theta)
     except DomainError as exc:
         raise InvalidConfigError(f"--demo-theta: {exc}") from None
-    rng = np.random.default_rng(seed)
-    mu, s2 = theta
-    return bayes.Dataset(rng.normal(mu, np.sqrt(s2), size=n), source="demo")
+    mean, chol = model.standardize(theta)
+    d = model.sample_space.dim
+    x = mean + np.random.default_rng(seed).standard_normal((n, d)) @ chol.T
+    # as load_observations gives them: 1-D samples carry no trailing axis
+    return bayes.Dataset(x[:, 0] if d == 1 else x, source="demo")
 
 
 def cmd_posterior(args):
@@ -187,6 +194,7 @@ def cmd_posterior(args):
         if names != grid.names:
             raise WeylPriorError(f"--grid axes {grid.names} do not match the "
                                  f"columns {names} of --prior-file")
+        _require_chart_axes(model, grid)
         field = priors.PriorField(pts, values, "loaded",
                                   args.chart or model.reference, grid=grid)
     else:
@@ -194,9 +202,11 @@ def cmd_posterior(args):
     if args.data:
         data = bayes.load_observations(args.data, model)
     elif args.demo_n is not None:
-        if args.demo_n < 1:
-            raise InvalidConfigError(
-                f"--demo-n {args.demo_n}: need at least 1 observation")
+        # n d doubles of draws, within the bound of every other size
+        limit = MAX_STEP_DOUBLES // model.sample_space.dim
+        if not 1 <= args.demo_n <= limit:
+            raise InvalidConfigError(f"--demo-n {args.demo_n}: need 1 to "
+                                     f"{limit} observations")
         if args.seed is None:
             raise WeylPriorError("demo data needs an explicit --seed")
         if args.seed < 0:
@@ -264,7 +274,7 @@ def cmd_verify_all(args):
         ratio = priors.theorem_ratio_check(model, grid, anchor, quad)
         record("theorem-ratio", anchor, ratio["max_rel_deviation"],
                THEOREM_RATIO_TOL)
-        wf = priors.weyl_prior_field(model, grid, anchor, quad)
+        wf = priors.prior_field(model, grid, "weyl", anchor=anchor, quad=quad)
         spread = (wf.values.max() - wf.values.min()) / wf.values.mean()
         record("weyl-constancy", anchor, spread, geometry.CLOSEDNESS_TOL)
         moved = priors.reparam_transform(wf, model, "mu_sigma")
@@ -313,7 +323,7 @@ def build_parser():
 
     p = sub.add_parser("prior", help="prior density field over a grid, as CSV")
     common(p)
-    p.add_argument("--kind", required=True, choices=["jeffreys", "alpha", "weyl"])
+    p.add_argument("--kind", required=True, choices=priors.KINDS)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--anchor", default=None)
     p.add_argument("--grid", required=True,
@@ -325,8 +335,7 @@ def build_parser():
     p = sub.add_parser("posterior", help="grid posterior from a prior and data")
     common(p)
     p.add_argument("--prior-file", default=None)
-    p.add_argument("--prior-kind", default="jeffreys",
-                   choices=["jeffreys", "alpha", "weyl"])
+    p.add_argument("--prior-kind", default="jeffreys", choices=priors.KINDS)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--anchor", default=None)
     p.add_argument("--grid", default=None)

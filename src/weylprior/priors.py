@@ -18,6 +18,8 @@ from .models import ModelSpec
 from .numerics import KRONROD_NODES, MAX_STEP_DOUBLES, segment_integrals
 from .tensors import fisher_metric, sqrt_det_metric
 
+KINDS = ("jeffreys", "alpha", "weyl")
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -104,13 +106,14 @@ class GridSpec:
 class PriorField:
     points: np.ndarray
     values: np.ndarray
-    kind: str                  # "jeffreys" | "alpha" | "weyl", or "loaded" from a CSV
+    kind: str                  # one of KINDS, or "loaded" from a CSV
     chart: str
     grid: Optional[GridSpec] = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if not (np.all(np.isfinite(v)) and np.all(v > 0)):
+        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if not (np.all(np.isfinite(self.values)) and np.all(self.values > 0)):
             raise GridError("prior field values must be strictly positive and finite")
 
 
@@ -129,10 +132,10 @@ def _chart_points(model, points, chart):
 
 def _omega_exponent(model, kind, alpha, anchor):
     """The factor k in exp(k Omega) sqrt(det g); None for Jeffreys."""
+    if kind not in KINDS:
+        raise GridError(f"unknown prior kind {kind!r}")
     if kind == "jeffreys":
         return None
-    if kind not in ("alpha", "weyl"):
-        raise GridError(f"unknown prior kind {kind!r}")
     if anchor is None:
         raise GridError(f"{kind} prior needs an anchor point")
     if np.shape(anchor) != (model.dim,):
@@ -200,7 +203,8 @@ def prior_values(model: ModelSpec, points, kind, alpha=None, anchor=None,
     return np.exp(exponent * omega) * _jeffreys(model, points, chart, quad)
 
 
-def _build(model, grid: GridSpec, kind, alpha=None, anchor=None, quad=None):
+def prior_field(model, grid: GridSpec, kind, alpha=None, anchor=None, quad=None):
+    """The ``kind`` prior field over ``grid``, ``kind`` one of ``KINDS``."""
     exponent = _omega_exponent(model, kind, alpha, anchor)
     pts = _chart_points(model, grid.points(), grid.chart)
     if exponent is None:
@@ -213,17 +217,17 @@ def _build(model, grid: GridSpec, kind, alpha=None, anchor=None, quad=None):
 
 def jeffreys_field(model, grid, quad=None):
     """sqrt(det g) over the grid."""
-    return _build(model, grid, "jeffreys", quad=quad)
+    return prior_field(model, grid, "jeffreys", quad=quad)
 
 
 def alpha_prior_field(model, grid, alpha, anchor, quad=None):
     """exp(-alpha/2 Omega) sqrt(det g); reduces to Jeffreys at alpha = 0."""
-    return _build(model, grid, "alpha", alpha=alpha, anchor=anchor, quad=quad)
+    return prior_field(model, grid, "alpha", alpha=alpha, anchor=anchor, quad=quad)
 
 
 def weyl_prior_field(model, grid, anchor, quad=None):
     """exp(m/2 Omega) sqrt(det g), m the manifold dimension."""
-    return _build(model, grid, "weyl", anchor=anchor, quad=quad)
+    return prior_field(model, grid, "weyl", anchor=anchor, quad=quad)
 
 
 def normalize_field(field: PriorField):
@@ -244,15 +248,13 @@ def theorem_ratio_check(model, grid, anchor, quad=None):
     compares the exponents, not the paper's theorem.
     """
     alpha = -float(model.dim)
-    exponents = {kind: _omega_exponent(model, kind, alpha, anchor)
-                 for kind in ("weyl", "alpha")}
+    exponents = [_omega_exponent(model, kind, alpha, anchor)
+                 for kind in ("weyl", "alpha")]
     pts = _chart_points(model, grid.points(), grid.chart)
     omega = _grid_omega(model, grid, pts, anchor, quad)
     jeffreys = _jeffreys(model, pts, grid.chart, quad)
-    wf, af = (PriorField(pts, np.exp(k * omega) * jeffreys, kind,
-                         grid.chart or model.reference, grid)
-              for kind, k in exponents.items())
-    ratio = wf.values / af.values
+    weyl, parallel = (np.exp(k * omega) * jeffreys for k in exponents)
+    ratio = weyl / parallel
     mean = float(np.mean(ratio))
     dev = float(np.max(np.abs(ratio - mean)) / abs(mean))
     return {"max_rel_deviation": dev, "ratio_mean": mean, "alpha": alpha}

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylprior import (Axis, GridSpec, cli, get_model, normalize_field,
-                       weyl_prior_field)
+                       priors, weyl_prior_field)
 from weylprior.cli import _test_points, main
 from weylprior.priors import read_csv
 
@@ -433,6 +433,18 @@ class TestPrior:
         assert len(read_csv(tmp_path / "weyl-1.csv")[2]) == 24
         assert outs[0] == outs[1]
 
+    def test_axes_not_named_as_the_chart_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "prior", "--model", "gaussian1d",
+                             "--chart", "mu_sigma", "--kind", "jeffreys",
+                             "--grid", "mu=-1:1:3,s=0.5:2:3",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            "--grid axes ['mu', 's'] are not the coordinates ['mu', 'sigma'] "
+            "of chart 'mu_sigma'")
+        assert not out_path.exists()
+
     def test_axis_count_differs_from_chart_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "prior", "--model", "gaussian1d",
                            "--kind", "jeffreys", "--grid", "mu=-2:2:3",
@@ -488,18 +500,100 @@ class TestPosterior:
         assert code == 2
         assert "--grid" in json.loads(err)["error"]
 
-    def test_prior_file_round_trip(self, capsys, tmp_path):
+    # the flags each kind reads, in each chart
+    KIND_FLAGS = {"jeffreys": (), "alpha": ("--anchor", "0,1", "--alpha", "1"),
+                  "weyl": ("--anchor", "0,1")}
+    CHART_GRIDS = {None: GRID, "mu_sigma": "mu=-2:2:9,sigma=0.5:2:9"}
+
+    @pytest.mark.parametrize("chart", list(CHART_GRIDS),
+                             ids=["reference", "mu_sigma"])
+    @pytest.mark.parametrize("kind", priors.KINDS)
+    def test_prior_file_round_trip(self, capsys, tmp_path, kind, chart):
+        flags = ("--model", "gaussian1d", "--grid", self.CHART_GRIDS[chart],
+                 *self.KIND_FLAGS[kind], *(("--chart", chart) if chart else ()))
         prior_path = tmp_path / "prior.csv"
-        run(capsys, "prior", "--model", "gaussian1d", "--kind", "jeffreys",
-            "--grid", self.GRID, "--out", str(prior_path))
+        assert run(capsys, "prior", *flags, "--kind", kind,
+                   "--out", str(prior_path))[0] == 0
         direct = tmp_path / "direct.csv"
         via_file = tmp_path / "via_file.csv"
-        common = ("--model", "gaussian1d", "--demo-n", "100", "--seed", "5")
-        run(capsys, "posterior", *common, "--prior-kind", "jeffreys",
-            "--grid", self.GRID, "--out", str(direct))
-        run(capsys, "posterior", *common, "--prior-file", str(prior_path),
-            "--grid", self.GRID, "--out", str(via_file))
+        demo = ("--demo-n", "100", "--seed", "5")
+        assert run(capsys, "posterior", *flags, *demo, "--prior-kind", kind,
+                   "--out", str(direct))[0] == 0
+        assert run(capsys, "posterior", *flags, *demo,
+                   "--prior-file", str(prior_path), "--out", str(via_file))[0] == 0
         assert direct.read_bytes() == via_file.read_bytes()
+
+    def test_prior_file_of_another_chart_exit_2(self, capsys, tmp_path):
+        # a table's header names its chart, so a mu_sigma table is not read
+        # in the reference chart (mu, sigma^2)
+        grid = "mu=-1:1:3,sigma=0.5:2:3"
+        prior_path = tmp_path / "prior.csv"
+        assert run(capsys, "prior", "--model", "gaussian1d", "--chart",
+                   "mu_sigma", "--kind", "jeffreys", "--grid", grid,
+                   "--out", str(prior_path))[0] == 0
+        out_path = tmp_path / "post.csv"
+        code, out, err = run(capsys, "posterior", "--model", "gaussian1d",
+                             "--prior-file", str(prior_path), "--grid", grid,
+                             "--demo-n", "10", "--seed", "1",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            "--grid axes ['mu', 'sigma'] are not the coordinates ['mu', 's2'] "
+            "of chart 'mu_sigma2'")
+        assert not out_path.exists()
+
+    def test_gaussian_mv_demo_mode_is_the_demo_point(self, capsys, tmp_path):
+        # demo data comes from the family's own law, so any continuous
+        # family takes --demo-n
+        out_path = tmp_path / "post.csv"
+        code, _, err = run(capsys, "posterior", "--model", "gaussian_mv:2",
+                           "--grid", "mu0=-0.5:1.5:5,mu1=-1:1:5,s00=1:1:1,"
+                           "s01=0.2:0.2:1,s11=1:1:1", "--demo-n", "400",
+                           "--demo-theta", "0.5,0,1,0.2,1", "--seed", "2",
+                           "--out", str(out_path))
+        assert code == 0, err
+        assert out_path.read_text().splitlines()[0] == (
+            "mu0,mu1,s00,s01,s11,log_density,mass")
+        table = np.loadtxt(out_path, delimiter=",", skiprows=1)
+        assert len(table) == 25
+        assert table[np.argmax(table[:, -1]), :5].tolist() == [
+            0.5, 0.0, 1.0, 0.2, 1.0]
+
+    @pytest.mark.parametrize("model, grid", [("bernoulli", "p=0.1:0.9:5"),
+                                             ("poisson", "lam=0.5:5:5")])
+    def test_demo_needs_a_continuous_family_exit_2(self, capsys, tmp_path,
+                                                   model, grid):
+        out_path = tmp_path / "post.csv"
+        code, out, err = run(capsys, "posterior", "--model", model,
+                             "--grid", grid, "--demo-n", "10", "--seed", "1",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            f"--demo-n: model {model!r} has no law to draw from")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("model, grid, n, limit", [
+        ("gaussian1d", GRID, 10 ** 13, 2 ** 25),
+        ("gaussian1d", GRID, 2 ** 25 + 1, 2 ** 25),
+        ("gaussian_mv:2", "mu0=0:0:1,mu1=0:0:1,s00=1:1:1,s01=0:0:1,s11=1:1:1",
+         2 ** 24 + 1, 2 ** 24),
+    ], ids=["1e13", "one-past-gaussian1d", "one-past-gaussian_mv2"])
+    def test_demo_n_beyond_the_bound_exit_2(self, capsys, monkeypatch,
+                                            tmp_path, model, grid, n, limit):
+        # refused before any draw: an unguarded draw of this size would
+        # exhaust memory
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew demo data past the --demo-n bound")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        out_path = tmp_path / "post.csv"
+        code, out, err = run(capsys, "posterior", "--model", model,
+                             "--grid", grid, "--demo-n", str(n), "--seed", "1",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            f"--demo-n {n}: need 1 to {limit} observations")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("grid", ["mu=-1:1:9,s2=0.25:4:9",
                                       "mu=-2:2:8,s2=0.25:4:9", "mu=-2:2:9"],
@@ -716,16 +810,19 @@ class TestTables:
                 if argv[0] not in ("prior", "posterior"):
                     continue
                 k = argv.index("--out") + 1
-                argv[k] = str(tmp_path / f"{coretype}-{argv[k]}")
+                name = argv[k]
+                argv[k] = str(tmp_path / f"{coretype}-{name}")
                 proc = subprocess.run([sys.executable, "-m", "weylprior.cli",
                                        *argv], env=env, capture_output=True,
                                       timeout=120)
                 assert proc.returncode == 0, proc.stderr.decode()[-2000:]
-                tables[coretype, argv[0]] = np.loadtxt(argv[k], delimiter=",",
-                                                       skiprows=1)
-        for command in ("prior", "posterior"):
-            np.testing.assert_allclose(tables["Prescott", command],
-                                       tables[None, command],
+                tables[coretype, name] = np.loadtxt(argv[k], delimiter=",",
+                                                    skiprows=1)
+        names = sorted(name for coretype, name in tables if coretype is None)
+        assert names == ["post.csv", "post_mv2.csv", "weyl.csv"]
+        for name in names:
+            np.testing.assert_allclose(tables["Prescott", name],
+                                       tables[None, name],
                                        rtol=1e-12, atol=1e-15)
 
 

@@ -1,4 +1,5 @@
-"""The program runs on NumPy alone; SciPy is a test-only oracle."""
+"""The program runs on NumPy alone; SciPy is a test-only oracle.  A test
+tool's own warnings do not end a test session."""
 
 import json
 import os
@@ -48,3 +49,32 @@ def test_runtime_dependencies_are_numpy_only():
     assert names == ["numpy"]
     assert any(dep.startswith("scipy")
                for dep in project["optional-dependencies"]["test"])
+
+
+# one failing Hypothesis test, then one passing test
+FAILING_HYPOTHESIS_TEST = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
+    # on a failure Hypothesis's plugin imports libcst, whose import warns;
+    # under the repo's warnings-as-errors settings the session must still
+    # report the failure and run the next test
+    (tmp_path / "test_throwaway.py").write_text(FAILING_HYPOTHESIS_TEST)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+         "test_throwaway.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]

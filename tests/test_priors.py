@@ -119,6 +119,17 @@ class TestFields:
         with pytest.raises(GridError, match="strictly positive and finite"):
             PriorField(field.points, values, "loaded", field.chart, field.grid)
 
+    def test_stores_float_arrays(self, g1):
+        # a field built from lists holds arrays, as bayes.Dataset does, so
+        # it normalizes like the field it was listed from
+        field = jeffreys_field(g1, small_grid())
+        listed = PriorField(field.points.tolist(), field.values.tolist(),
+                            "loaded", field.chart, field.grid)
+        assert isinstance(listed.points, np.ndarray)
+        assert listed.points.dtype == listed.values.dtype == float
+        np.testing.assert_array_equal(normalize_field(listed).values,
+                                      normalize_field(field).values)
+
     def test_normalize(self, g1):
         field = normalize_field(jeffreys_field(g1, small_grid()))
         mass = field.values @ field.grid.cell_volumes()

@@ -47,8 +47,8 @@ def cli_commands():
 def test_cli_block_runs_as_written(tmp_path, capsys):
     commands = cli_commands()
     assert [argv[0] for argv in commands] == [
-        "tensor", "check", "prior", "posterior", "tensor", "verify-all",
-        "verify-all"]
+        "tensor", "check", "prior", "posterior", "posterior", "tensor",
+        "verify-all", "verify-all"]
     for argv in commands:
         if "--out" in argv:
             k = argv.index("--out") + 1
